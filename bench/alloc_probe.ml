@@ -14,7 +14,6 @@ open Inst
 module B = Builder
 module Vm = Dpmr_vm.Vm
 module Dpmr = Dpmr_core.Dpmr
-module Mem = Dpmr_memsim.Mem
 
 let n = 1_000_000
 
@@ -76,34 +75,3 @@ let () =
           ignore (B.fbinop b Fmul f (B.fc 1.5))));
   probe "empty loop" (fun b ->
       B.for_ b ~from:(B.i64c 0) ~below:(B.i64c n) (fun _ -> ()))
-
-(* Copy-on-write fork probe: thawing a fork from a frozen image and
-   dirtying [k] pages must allocate O(k) page copies (plus a page-table
-   copy), never O(heap) — the property snapshot/fork campaign execution
-   depends on to make per-site forks cheaper than warmup replay. *)
-let () =
-  let pages = 4096 and dirty = 8 in
-  let base = Mem.heap_base in
-  let page i = Int64.add base (Int64.of_int (i * Mem.page_size)) in
-  let m = Mem.create () in
-  Mem.map_range m base (pages * Mem.page_size) Mem.Fill_zero;
-  (* touch every page so the frozen image really materializes [pages] *)
-  for i = 0 to pages - 1 do
-    Mem.write_u8 m (page i) 1
-  done;
-  let frozen = Mem.freeze m in
-  Gc.full_major ();
-  let a0 = Gc.allocated_bytes () in
-  let fork = Mem.thaw frozen in
-  for i = 0 to dirty - 1 do
-    Mem.write_u8 fork (page (i * (pages / dirty))) 2
-  done;
-  let a1 = Gc.allocated_bytes () in
-  let bytes = a1 -. a0 in
-  let heap_bytes = pages * Mem.page_size in
-  (* generous bound: 8x the dirtied payload plus 16 B/page of table copy
-     — still 32x below the O(heap) a deep copy would cost *)
-  let bound = (dirty * Mem.page_size * 8) + (pages * 16) in
-  Printf.printf "cow fork+%d dirty     %8.1f KB  (heap %d KB, bound %d KB)\n%!" dirty
-    (bytes /. 1024.) (heap_bytes / 1024) (bound / 1024);
-  assert (bytes < float_of_int bound)

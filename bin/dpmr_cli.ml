@@ -362,15 +362,6 @@ let jobs_t =
 let no_cache_t =
   Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the on-disk result cache.")
 
-let no_snapshot_t =
-  Arg.(
-    value & flag
-    & info [ "no-snapshot" ]
-        ~doc:
-          "Run every grid job from zero instead of forking fault-injection \
-           cells from a shared copy-on-write baseline snapshot (also: \
-           DPMR_NO_SNAPSHOT=1).  Output is byte-identical either way.")
-
 let report_cmd =
   let id_t =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID|all|forensics")
@@ -482,9 +473,9 @@ let report_cmd =
           ~doc:"Duplicate a straggling chunk onto a second healthy worker \
                 after $(docv) milliseconds; first result wins (0 disables).")
   in
-  let go id fig scale seed reps replicas families vote jobs no_cache no_snapshot
-      chaos deadline retries backoff_ms telemetry_json tier remote_workers
-      min_workers window chunk hedge_ms =
+  let go id fig scale seed reps replicas families vote jobs no_cache chaos deadline
+      retries backoff_ms telemetry_json tier remote_workers min_workers window chunk
+      hedge_ms =
     (match tier with None -> () | Some m -> Dpmr_vm.Vm.set_tier_mode m);
     (match chaos with
     | None -> () (* DPMR_CHAOS, if set, still applies via Chaos.active *)
@@ -538,9 +529,7 @@ let report_cmd =
           Some (Dispatch.create ~policy:dpolicy (Remote.transport ~timeout ()) ~hosts)
     in
     let engine =
-      Engine.create ~jobs ~use_cache:(not no_cache)
-        ~snapshots:(Sys.getenv_opt "DPMR_NO_SNAPSHOT" = None && not no_snapshot)
-        ~policy ?dispatcher ()
+      Engine.create ~jobs ~use_cache:(not no_cache) ~policy ?dispatcher ()
     in
     let write_telemetry () =
       match telemetry_json with
@@ -551,7 +540,6 @@ let report_cmd =
             (Telemetry.to_json (Engine.telemetry engine) ~workers:(Engine.jobs engine)
                ~cache:(Engine.cache_stats engine)
                ~tier:(Dpmr_vm.Vm.tier_stats ())
-               ~plan_memo:(Dpmr_fi.Experiment.diff_memo_stats ())
                ?dispatch:(Engine.dispatcher engine));
           close_out oc
     in
@@ -578,7 +566,7 @@ let report_cmd =
              FIG' for a traced fault grid).")
     Term.(
       const go $ id_t $ fig_t $ scale_t $ seed_t $ reps_t $ replicas_t
-      $ families_t $ vote_t $ jobs_t $ no_cache_t $ no_snapshot_t $ chaos_t
+      $ families_t $ vote_t $ jobs_t $ no_cache_t $ chaos_t
       $ deadline_t $ retries_t $ backoff_ms_t $ telemetry_json_t $ tier_t
       $ remote_workers_t $ min_workers_t $ window_t $ chunk_t $ hedge_ms_t)
 

@@ -41,25 +41,3 @@ let run_transformed ?seed ?budget ?args ?lowered ~mode ?replicas tp =
 let run_dpmr ?seed ?budget ?args (cfg : Config.t) prog =
   run_transformed ?seed ?budget ?args ~mode:cfg.Config.mode
     ~replicas:cfg.Config.replicas (transform cfg prog)
-
-(** {1 Snapshot/fork campaign execution} *)
-
-(** Run an untransformed program watched for a whole group (see
-    {!Vm.run_watched}): one copy-on-write snapshot per member, captured
-    at that member's own divergence frontier. *)
-let watched_plain ?seed ?budget ?args ?lowered prog limitss =
-  Vm.run_watched ?args (vm_plain ?seed ?budget ?lowered prog) limitss
-
-(** Same for an already-transformed program. *)
-let watched_transformed ?seed ?budget ?args ?lowered ~mode ?replicas tp limitss =
-  Vm.run_watched ?args (vm_dpmr ?seed ?budget ?lowered ~mode ?replicas tp) limitss
-
-(** Fork an untransformed program from a snapshot: build its VM, swap in
-    the captured state, run to completion.  Bit-identical to
-    {!run_plain} with the same seed. *)
-let resume_plain ?seed ?budget ?lowered ?remap prog snap =
-  Vm.resume ?remap (vm_plain ?seed ?budget ?lowered prog) snap
-
-(** Same for an already-transformed program vs {!run_transformed}. *)
-let resume_transformed ?seed ?budget ?lowered ?remap ~mode ?replicas tp snap =
-  Vm.resume ?remap (vm_dpmr ?seed ?budget ?lowered ~mode ?replicas tp) snap

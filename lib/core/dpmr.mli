@@ -55,49 +55,3 @@ val run_transformed :
 (** Transform under a configuration, then run. *)
 val run_dpmr :
   ?seed:int64 -> ?budget:int64 -> ?args:string list -> Config.t -> Prog.t -> Outcome.run
-
-(** {1 Snapshot/fork campaign execution}
-
-    Watched baselines and snapshot forks — see {!Vm.run_watched} and
-    {!Vm.resume}.  A fork is bit-identical to the corresponding from-zero
-    run with the same seed. *)
-
-val watched_plain :
-  ?seed:int64 ->
-  ?budget:int64 ->
-  ?args:string list ->
-  ?lowered:Dpmr_vm.Lower.prog ->
-  Prog.t ->
-  (string, int array) Hashtbl.t array ->
-  Vm.watch_result array
-
-val watched_transformed :
-  ?seed:int64 ->
-  ?budget:int64 ->
-  ?args:string list ->
-  ?lowered:Dpmr_vm.Lower.prog ->
-  mode:Config.mode ->
-  ?replicas:int ->
-  Prog.t ->
-  (string, int array) Hashtbl.t array ->
-  Vm.watch_result array
-
-val resume_plain :
-  ?seed:int64 ->
-  ?budget:int64 ->
-  ?lowered:Dpmr_vm.Lower.prog ->
-  ?remap:(string -> Dpmr_vm.Lower.remap option) ->
-  Prog.t ->
-  Vm.snapshot ->
-  Outcome.run
-
-val resume_transformed :
-  ?seed:int64 ->
-  ?budget:int64 ->
-  ?lowered:Dpmr_vm.Lower.prog ->
-  ?remap:(string -> Dpmr_vm.Lower.remap option) ->
-  mode:Config.mode ->
-  ?replicas:int ->
-  Prog.t ->
-  Vm.snapshot ->
-  Outcome.run

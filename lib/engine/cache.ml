@@ -54,7 +54,7 @@ type stats = {
   mutable evicted : int;
   mutable damaged : int;
   mutable added : int;
-  mutable forked : int;
+  forked : int;
 }
 
 type shard = {
@@ -251,7 +251,7 @@ let channel t sh =
       sh.chan <- Some oc;
       oc
 
-let add t ?(aux = false) ?snap ~key ~spec_repr cls =
+let add t ~key ~spec_repr cls =
   let sh = t.shards.(shard_of_key key) in
   let added =
     Mutex.protect sh.mu (fun () ->
@@ -259,7 +259,7 @@ let add t ?(aux = false) ?snap ~key ~spec_repr cls =
         else begin
           Hashtbl.replace sh.tbl key cls;
           let line =
-            frame (Job.entry_to_line { Job.key; salt = t.salt; spec_repr; snap; cls }) ^ "\n"
+            frame (Job.entry_to_line { Job.key; salt = t.salt; spec_repr; cls }) ^ "\n"
           in
           let oc = channel t sh in
           (match Chaos.truncation ~key ~len:(String.length line) with
@@ -281,8 +281,7 @@ let add t ?(aux = false) ?snap ~key ~spec_repr cls =
           true
         end)
   in
-  if added then
-    bump t (fun s -> if aux then s.forked <- s.forked + 1 else s.added <- s.added + 1)
+  if added then bump t (fun s -> s.added <- s.added + 1)
 
 let flush t =
   Array.iter

@@ -40,10 +40,10 @@ type stats = {
   mutable misses : int;
   mutable evicted : int;  (** stale-salt lines dropped on load *)
   mutable damaged : int;  (** torn/corrupt/CRC-mismatched lines dropped on load *)
-  mutable added : int;  (** primary results persisted this session *)
-  mutable forked : int;
-      (** auxiliary fork-key records persisted this session (snapshot
-          federation sidecar — see {!Job.fork_hash}) *)
+  mutable added : int;  (** results persisted this session *)
+  forked : int;
+      (** always 0: snapshot/fork execution and its fork-key records
+          were removed; kept for the benchmark until its next revision *)
 }
 
 type t
@@ -52,7 +52,9 @@ val load : ?dir:string -> ?flush_every:int -> salt:string -> unit -> t
 (** Load the cache: evict stale-salt entries, drop damaged lines,
     migrate any legacy single-file records into their shards, and
     repair every shard that lost or gained lines by atomic
-    compaction. *)
+    compaction.  Fork-key records left by the removed snapshot/fork
+    execution (a ["snap"] field, a ["fork:"] spec) load as ordinary
+    entries under keys no spec hashes to, so they never hit. *)
 
 val entries : t -> int
 
@@ -64,15 +66,10 @@ val find : t -> string -> Experiment.classification option
 (** Lookup by content hash; counts a hit or a miss.  Thread-safe; only
     the key's shard is locked. *)
 
-val add :
-  t -> ?aux:bool -> ?snap:string -> key:string -> spec_repr:string ->
-  Experiment.classification -> unit
+val add : t -> key:string -> spec_repr:string -> Experiment.classification -> unit
 (** Insert and append to the key's shard (no-op if the key is already
     present).  The record is pushed to the OS immediately; every
-    [flush_every]-th append per shard also fsyncs.  [snap] records the
-    content hash of the snapshot the run resumed from (see
-    {!Job.fork_hash}).  [aux] marks a sidecar record (a fork-key
-    federation entry): counted under {!stats}.[forked], not [added]. *)
+    [flush_every]-th append per shard also fsyncs. *)
 
 val flush : t -> unit
 (** Fsync every shard with unsynced appends. *)

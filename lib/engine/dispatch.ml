@@ -33,7 +33,7 @@ type item = string * Job.spec
 
 type hole = { hreason : string; hattempts : int; herror : string }
 type outcome = Done of Experiment.classification | Hole of hole
-type completed = item * outcome * float * string option
+type completed = item * outcome * float
 
 type remote_result =
   | R_verdict of Experiment.classification
@@ -112,11 +112,10 @@ type host = {
   mutable h_rtts : float list;
 }
 
-(* A chunk is the dispatch unit: whole groups (snapshot cells), so the
-   remote engine re-derives the same cells and forks them from shared
-   baselines.  Items carry their global result index. *)
+(* A chunk is the dispatch unit: a run of consecutive items, each
+   carrying its global result index. *)
 type chunk = {
-  ck_groups : (item * int) array array;
+  ck_items : (item * int) array;
   mutable ck_attempts : int;  (** re-dispatches consumed *)
   mutable ck_hedged : bool;
   mutable ck_hedge_won : bool;
@@ -201,8 +200,6 @@ let create ?(policy = default_policy) transport ~hosts =
 
 (* ---------------- chunking ---------------- *)
 
-let flat ck = Array.concat (Array.to_list ck.ck_groups)
-
 (* Auto chunk size: enough chunks to keep every window slot busy a few
    times over (so failures forfeit little work), but not so small that
    framing dominates. *)
@@ -212,51 +209,22 @@ let chunk_target t ~total_jobs =
     let slots = Array.length t.hosts * t.policy.window in
     max 1 (min 24 (total_jobs / max 1 (slots * 4)))
 
-let chunks_of_groups t groups =
-  let total_jobs = List.fold_left (fun a g -> a + Array.length g) 0 groups in
-  let target = chunk_target t ~total_jobs in
-  let gi = ref 0 in
-  let indexed =
-    List.map
-      (fun g ->
-        Array.map
-          (fun it ->
-            let i = !gi in
-            incr gi;
-            (it, i))
-          g)
-      groups
-  in
-  let chunks = ref [] and cur = ref [] and cur_n = ref 0 in
-  let cut () =
-    if !cur <> [] then begin
-      chunks :=
-        {
-          ck_groups = Array.of_list (List.rev !cur);
-          ck_attempts = 0;
-          ck_hedged = false;
-          ck_hedge_won = false;
-        }
-        :: !chunks;
-      cur := [];
-      cur_n := 0
-    end
-  in
-  List.iter
-    (fun g ->
-      cur := g :: !cur;
-      cur_n := !cur_n + Array.length g;
-      if !cur_n >= target then cut ())
-    indexed;
-  cut ();
-  (List.rev !chunks, !gi)
+let mk_chunk ?(attempts = 0) items =
+  { ck_items = items; ck_attempts = attempts; ck_hedged = false; ck_hedge_won = false }
+
+let chunks_of_items t items =
+  let all = Array.of_list (List.mapi (fun i it -> (it, i)) items) in
+  let n = Array.length all in
+  let target = chunk_target t ~total_jobs:n in
+  ( List.init ((n + target - 1) / target) (fun c ->
+        let lo = c * target in
+        mk_chunk (Array.sub all lo (min target (n - lo)))),
+    all )
 
 (* ---------------- shared-state transitions (all under [t.mu]) ---------------- *)
 
 let chunk_done rs ck =
-  Array.for_all
-    (Array.for_all (fun (_, gi) -> rs.results.(gi) <> None || rs.localized.(gi)))
-    ck.ck_groups
+  Array.for_all (fun (_, gi) -> rs.results.(gi) <> None || rs.localized.(gi)) ck.ck_items
 
 let quarantine_if_due t host =
   if host.h_healthy && host.h_consec >= t.policy.quarantine_after then begin
@@ -289,18 +257,17 @@ let requeue t rs host ck =
   end
 
 let gather t rs host ~hedge ck replies rtt =
-  let items = flat ck in
+  let items = ck.ck_items in
   let n = Array.length items in
   let share = if n = 0 then 0. else rtt /. float_of_int n in
   let won = ref false in
   Array.iteri
     (fun k reply ->
-      let ((key, spec) as it), gi = items.(k) in
-      ignore key;
+      let it, gi = items.(k) in
       match reply with
       | R_verdict cls ->
           if rs.results.(gi) = None then begin
-            rs.results.(gi) <- Some (it, Done cls, share, None);
+            rs.results.(gi) <- Some (it, Done cls, share);
             rs.remaining <- rs.remaining - 1;
             host.h_jobs <- host.h_jobs + 1;
             won := true
@@ -314,24 +281,14 @@ let gather t rs host ~hedge ck replies rtt =
               Some
                 ( it,
                   Hole { hreason = "remote"; hattempts = ck.ck_attempts + 1; herror = msg },
-                  share,
-                  None );
+                  share );
             rs.remaining <- rs.remaining - 1;
             t.tot_holes <- t.tot_holes + 1
           end
           else t.tot_dups <- t.tot_dups + 1
       | R_reject _ ->
-          if rs.results.(gi) = None && not rs.localized.(gi) then begin
-            ignore spec;
-            rs.localq <-
-              {
-                ck_groups = [| [| items.(k) |] |];
-                ck_attempts = ck.ck_attempts;
-                ck_hedged = false;
-                ck_hedge_won = false;
-              }
-              :: rs.localq
-          end)
+          if rs.results.(gi) = None && not rs.localized.(gi) then
+            rs.localq <- mk_chunk ~attempts:ck.ck_attempts [| items.(k) |] :: rs.localq)
     replies;
   host.h_completed <- host.h_completed + 1;
   host.h_rtts <- rtt :: host.h_rtts;
@@ -395,7 +352,7 @@ let runner t rs host =
     | None -> ()
     | Some e ->
         let ck = e.qe_chunk in
-        let items = flat ck in
+        let items = ck.ck_items in
         let token =
           Mutex.protect t.mu (fun () ->
               host.h_sent <- host.h_sent + 1;
@@ -488,7 +445,7 @@ let prober t rs host =
 
 (* ---------------- the gather loop (calling thread) ---------------- *)
 
-type decision = D_done | D_wait | D_local of item array list
+type decision = D_done | D_wait | D_local of item list
 
 let breach_floor t rs ~healthy =
   rs.floor_breached <- true;
@@ -508,8 +465,7 @@ let breach_floor t rs ~healthy =
                     Printf.sprintf "healthy workers %d below --min-workers %d" healthy
                       t.policy.min_workers;
                 },
-              0.,
-              None );
+              0. );
         rs.remaining <- rs.remaining - 1;
         t.tot_holes <- t.tot_holes + 1
       end)
@@ -522,17 +478,13 @@ let breach_floor t rs ~healthy =
 let claim_local rs cks =
   List.concat_map
     (fun ck ->
-      Array.to_list ck.ck_groups
-      |> List.filter_map (fun g ->
-             let live =
-               Array.to_list g
-               |> List.filter (fun (_, gi) -> rs.results.(gi) = None && not rs.localized.(gi))
-             in
-             match live with
-             | [] -> None
-             | live ->
-                 List.iter (fun (_, gi) -> rs.localized.(gi) <- true) live;
-                 Some (Array.of_list (List.map fst live))))
+      Array.to_list ck.ck_items
+      |> List.filter_map (fun (it, gi) ->
+             if rs.results.(gi) = None && not rs.localized.(gi) then begin
+               rs.localized.(gi) <- true;
+               Some it
+             end
+             else None))
     cks
 
 let decide t rs =
@@ -585,10 +537,10 @@ let decide t rs =
 let absorb_local t rs idx_of_key completed =
   Mutex.protect t.mu (fun () ->
       List.iter
-        (fun ((((key, _) : item) as it), outcome, wall, snap) ->
+        (fun ((((key, _) : item) as it), outcome, wall) ->
           match Hashtbl.find_opt idx_of_key key with
           | Some gi when rs.results.(gi) = None ->
-              rs.results.(gi) <- Some (it, outcome, wall, snap);
+              rs.results.(gi) <- Some (it, outcome, wall);
               rs.remaining <- rs.remaining - 1;
               t.tot_local <- t.tot_local + 1;
               (match outcome with Hole _ -> t.tot_holes <- t.tot_holes + 1 | Done _ -> ())
@@ -596,17 +548,16 @@ let absorb_local t rs idx_of_key completed =
         completed;
       Condition.broadcast t.work)
 
-let run t ~local groups =
-  let groups = List.filter (fun g -> Array.length g > 0) groups in
-  if groups = [] then []
+let run t ~local items =
+  if items = [] then []
   else begin
     Mutex.protect t.mu (fun () ->
         if t.running then invalid_arg "Dispatch.run: batch already in flight";
         t.running <- true);
     Fun.protect ~finally:(fun () -> Mutex.protect t.mu (fun () -> t.running <- false))
     @@ fun () ->
-    let chunks, total = chunks_of_groups t groups in
-    let all = Array.concat (List.map flat chunks) in
+    let chunks, all = chunks_of_items t items in
+    let total = Array.length all in
     let rs =
       {
         all;

@@ -50,8 +50,8 @@ type hole = {
 
 type outcome = Done of Experiment.classification | Hole of hole
 
-type completed = item * outcome * float * string option
-(** (item, outcome, wall seconds billed, snapshot fork hash if any). *)
+type completed = item * outcome * float
+(** (item, outcome, wall seconds billed). *)
 
 (** What one remote answered for one job of a chunk. *)
 type remote_result =
@@ -134,13 +134,11 @@ val create : ?policy:policy -> transport -> hosts:string list -> t
 (** Host health, quarantine state and telemetry persist across {!run}
     calls (an engine dispatches many batches per campaign). *)
 
-val run : t -> local:(item array list -> completed list) -> item array list -> completed list
-(** Scatter the given groups and gather every outcome.  Grouped items
-    (snapshot cells) always land in the same chunk, so remote engines
-    can fork them from a shared baseline.  [local] executes groups on
-    the caller's engine (the degradation path); it is invoked on the
-    calling thread.  The result covers every input item exactly once,
-    in input order. *)
+val run : t -> local:(item list -> completed list) -> item list -> completed list
+(** Scatter the given items in chunks of consecutive items and gather
+    every outcome.  [local] executes items on the caller's engine (the
+    degradation path); it is invoked on the calling thread.  The result
+    covers every input item exactly once, in input order. *)
 
 val host_stats : t -> host_stats list
 val totals : t -> totals

@@ -27,10 +27,6 @@ type t = {
   pool : Pool.t option;
       (** resident worker pool, reused across batches; [None] runs every
           batch on transient domains (the historical behaviour) *)
-  snapshots : bool;
-      (** snapshot/fork campaign execution: run each fault-injection
-          cell's warmup once as a watched baseline and fork the members
-          from its copy-on-write capture ({!Experiment.plan_group}) *)
   dispatcher : Dispatch.t option;
       (** remote scatter/gather: cache misses go to resident workers
           over the wire instead of the local pool, with the local pool
@@ -40,8 +36,7 @@ type t = {
 let default_jobs () = Pool.default_size ()
 
 let create ?jobs ?(use_cache = true) ?(cache_dir = Cache.default_dir)
-    ?(salt = Job.default_salt) ?policy ?(progress = true) ?(resident = false)
-    ?(snapshots = Sys.getenv_opt "DPMR_NO_SNAPSHOT" = None) ?dispatcher () =
+    ?(salt = Job.default_salt) ?policy ?(progress = true) ?(resident = false) ?dispatcher () =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let cache = if use_cache then Some (Cache.load ~dir:cache_dir ~salt ()) else None in
   {
@@ -52,7 +47,6 @@ let create ?jobs ?(use_cache = true) ?(cache_dir = Cache.default_dir)
     supervisor = Supervisor.create ?policy ();
     progress;
     pool = (if resident && jobs > 1 then Some (Pool.create ~size:jobs ()) else None);
-    snapshots;
     dispatcher;
   }
 
@@ -113,96 +107,6 @@ let adjusted (spec : Job.spec) =
 let execute (spec : Job.spec) =
   Experiment.run_variant ~seed:spec.Job.run_seed (adjusted spec) spec.Job.variant
 
-(* ---------------- snapshot groups ---------------- *)
-
-(* A schedulable unit: one spec, or a whole fault-injection cell whose
-   members share the watched baseline's copy-on-write capture. *)
-type unit_ = Single of string * Job.spec | Cell of (string * Job.spec) array
-
-(* Members of one cell execute bit-identically until their own injection
-   diverges, so they must agree on everything the prefix depends on:
-   workload/scale/seeds/budget, and for the DPMR variants the full
-   configuration (the transform's coin flips are part of the prefix).
-   Golden and Nofi_dpmr jobs ARE their class's baseline — they join the
-   matching cell and inherit the watched baseline's whole outcome for
-   free instead of running separately. *)
-let cell_key (s : Job.spec) =
-  let cls =
-    match s.Job.variant with
-    | Experiment.Golden | Experiment.Fi_stdapp _ -> "std"
-    | Experiment.Nofi_dpmr cfg | Experiment.Fi_dpmr (cfg, _, _) ->
-        "dpmr:" ^ Job.config_repr cfg
-  in
-  Printf.sprintf "%s;%d;%Ld;%Ld;%Ld;%s" s.Job.workload s.Job.scale s.Job.exp_seed
-    s.Job.run_seed s.Job.budget cls
-
-(* Partition a batch into schedulable units, preserving first-seen order
-   (a cell sits at its first member's position). *)
-let partition_units t to_run =
-  if not t.snapshots then List.map (fun (k, s) -> Single (k, s)) to_run
-  else begin
-    let cells : (string, (string * Job.spec) list ref) Hashtbl.t = Hashtbl.create 32 in
-    let order =
-      List.filter_map
-        (fun (key, spec) ->
-          let ck = cell_key spec in
-          match Hashtbl.find_opt cells ck with
-          | Some members ->
-              members := (key, spec) :: !members;
-              None
-          | None ->
-              let members = ref [ (key, spec) ] in
-              Hashtbl.replace cells ck members;
-              Some (`Cell members))
-        to_run
-    in
-    List.map
-      (function
-        | `One (k, s) -> Single (k, s)
-        | `Cell members -> (
-            match !members with
-            | [ (k, s) ] -> Single (k, s)
-            | ms -> Cell (Array.of_list (List.rev ms))))
-      order
-  end
-
-(* Run a whole cell on one worker: plan the shared baseline once, then
-   run each member under its own supervision.  Any planning failure
-   degrades every member to the ordinary from-zero path — never worse
-   than ungrouped execution.  Returns one result per member, tagged with
-   the snapshot hash its run actually resumed from. *)
-let run_cell t members =
-  let _, spec0 = members.(0) in
-  let e = adjusted spec0 in
-  let t_plan = Telemetry.now () in
-  let plan =
-    try
-      Some
-        (Experiment.plan_group ~seed:spec0.Job.run_seed e
-           (Array.map (fun (_, s) -> s.Job.variant) members))
-    with _ -> None
-  in
-  (* the shared planning cost (member builds + watched baseline) is
-     billed to the cell's first member so no wall time goes missing *)
-  let plan_wall = Telemetry.now () -. t_plan in
-  Array.to_list
-    (Array.mapi
-       (fun i (key, spec) ->
-         let t1 = Telemetry.now () -. (if i = 0 then plan_wall else 0.) in
-         let r, snap =
-           match plan with
-           | None ->
-               (Supervisor.run t.supervisor ~key (fun () -> execute spec), None)
-           | Some g ->
-               ( Supervisor.run t.supervisor ~key (fun () ->
-                     Experiment.run_member ~seed:spec.Job.run_seed e g i),
-                 Option.map
-                   (Printf.sprintf "%016Lx")
-                   (Experiment.member_snapshot_hash g i) )
-         in
-         ((key, spec), r, Telemetry.now () -. t1, snap))
-       members)
-
 (* ---------------- progress reporting ---------------- *)
 
 let progress_fn t n =
@@ -247,74 +151,41 @@ let run_specs_r t specs =
       Telemetry.record_cached t.telemetry cached_count;
       let retries_before = Supervisor.retries t.supervisor in
       let to_run = List.rev_map (fun key -> (key, fst (Hashtbl.find missing key))) !order in
-      let units = partition_units t to_run in
       (* every job runs under supervision: deadline, retry-with-backoff
          for transient failures, quarantine for deterministic ones — a
-         failure fills its own slots and cannot abort the batch.  A
-         [Cell] runs whole on one worker: its members share a watched
-         baseline, but each member is still supervised individually. *)
-      let exec_unit = function
-        | Single (key, spec) ->
-            let t1 = Telemetry.now () in
-            let r = Supervisor.run t.supervisor ~key (fun () -> execute spec) in
-            [ ((key, spec), r, Telemetry.now () -. t1, None) ]
-        | Cell members -> run_cell t members
+         failure fills its own slots and cannot abort the batch *)
+      let exec (key, spec) =
+        let t1 = Telemetry.now () in
+        let r = Supervisor.run t.supervisor ~key (fun () -> execute spec) in
+        let outcome =
+          match r with
+          | Ok cls -> Dispatch.Done cls
+          | Error (fl : Supervisor.failure) ->
+              Dispatch.Hole
+                {
+                  Dispatch.hreason = Supervisor.reason_name fl.Supervisor.freason;
+                  hattempts = fl.Supervisor.fattempts;
+                  herror = fl.Supervisor.ferror;
+                }
+        in
+        ((key, spec), outcome, Telemetry.now () -. t1)
       in
-      let run_units us =
-        pool_map t ?progress:(progress_fn t (List.length us)) exec_unit us
-        |> List.concat
-        |> List.map (fun (it, r, wall, snap) ->
-               let outcome =
-                 match r with
-                 | Ok cls -> Dispatch.Done cls
-                 | Error (fl : Supervisor.failure) ->
-                     Dispatch.Hole
-                       {
-                         Dispatch.hreason = Supervisor.reason_name fl.Supervisor.freason;
-                         hattempts = fl.Supervisor.fattempts;
-                         herror = fl.Supervisor.ferror;
-                       }
-               in
-               (it, outcome, wall, snap))
-      in
+      let run_local items = pool_map t ?progress:(progress_fn t (List.length items)) exec items in
       let ran =
         match t.dispatcher with
-        | None -> run_units units
+        | None -> run_local to_run
         | Some d ->
-            (* scatter the schedulable units to remote workers, whole
-               groups at a time so remote engines re-derive the same
-               snapshot cells; the local pool is the degradation path *)
-            let groups =
-              List.map (function Single (k, s) -> [| (k, s) |] | Cell ms -> ms) units
-            in
-            Dispatch.run d
-              ~local:(fun gs ->
-                run_units
-                  (List.map
-                     (fun g ->
-                       if Array.length g = 1 then Single (fst g.(0), snd g.(0)) else Cell g)
-                     gs))
-              groups
+            (* scatter the misses to remote workers; the local pool is
+               the degradation path *)
+            Dispatch.run d ~local:run_local to_run
       in
       List.iter
-        (fun ((key, spec), outcome, wall, snap) ->
+        (fun ((key, spec), outcome, wall) ->
           let result =
             match outcome with
             | Dispatch.Done cls ->
                 Telemetry.record_job t.telemetry ~wall ~cost:cls.Experiment.cost;
-                (match t.cache with
-                | Some c ->
-                    Cache.add c ?snap ~key ~spec_repr:(Job.repr spec) cls;
-                    (* federation: the same result under its fork key, so
-                       another writer that captured a bit-identical
-                       baseline can serve it without re-hashing the grid *)
-                    Option.iter
-                      (fun h ->
-                        Cache.add c ~aux:true ~snap:h
-                          ~key:(Job.fork_hash ~salt:t.salt ~snap:h spec)
-                          ~spec_repr:("fork:" ^ Job.repr spec) cls)
-                      snap
-                | None -> ());
+                Option.iter (fun c -> Cache.add c ~key ~spec_repr:(Job.repr spec) cls) t.cache;
                 Experiment.Run cls
             | Dispatch.Hole h ->
                 Telemetry.record_failed t.telemetry ~wall;
@@ -373,7 +244,6 @@ let run_tasks t thunks =
 let summary_lines t =
   Telemetry.summary_lines t.telemetry ~workers:t.jobs ~cache:(cache_stats t)
     ~tier:(Dpmr_vm.Vm.tier_stats ())
-    ~plan_memo:(Experiment.diff_memo_stats ())
     ?dispatch:t.dispatcher
 
 (** Printed to stderr so report output stays byte-identical across

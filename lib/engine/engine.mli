@@ -21,15 +21,11 @@ val create :
   ?policy:Supervisor.policy ->
   ?progress:bool ->
   ?resident:bool ->
-  ?snapshots:bool ->
   ?dispatcher:Dispatch.t ->
   unit ->
   t
-(** [snapshots] (default [true] unless the [DPMR_NO_SNAPSHOT]
-    environment variable is set) enables snapshot/fork campaign
-    execution: each fault-injection cell's warmup runs once as a watched
-    baseline and members fork from its copy-on-write capture, with
-    byte-identical results.  [jobs] defaults to [default_jobs ()]; [use_cache] defaults to [true]
+(** Every cache miss runs as its own job, from zero.  [jobs] defaults
+    to [default_jobs ()]; [use_cache] defaults to [true]
     (directory [Cache.default_dir]); [salt] defaults to
     [Job.default_salt]; [policy] is the supervision policy (deadline /
     retry / backoff, default [Supervisor.default_policy]); [progress]

@@ -108,24 +108,12 @@ let fnv1a64 str =
 let hash ?(salt = default_salt) s =
   Printf.sprintf "%016Lx" (fnv1a64 (salt ^ "\x00" ^ repr s))
 
-(* Cache key of a run that resumed from a copy-on-write snapshot: the
-   snapshot's content hash rides in front of the spec rendering, so the
-   key identifies (shared prefix state, divergent suffix) rather than the
-   whole from-zero run.  Two processes that capture bit-identical group
-   baselines therefore coin the same fork keys and can federate them
-   through one cache directory even under different grid shapes. *)
-let fork_hash ?(salt = default_salt) ~snap s =
-  Printf.sprintf "%016Lx"
-    (fnv1a64 (Printf.sprintf "%s\x00snap=%s;%s" salt snap (repr s)))
-
 (* ---------------- cache-line (de)serialization ---------------- *)
 
 type entry = {
   key : string;
   salt : string;
   spec_repr : string;
-  snap : string option;
-      (** content hash of the snapshot the run resumed from, if any *)
   cls : Experiment.classification;
 }
 
@@ -152,13 +140,8 @@ let classification_fields (c : Experiment.classification) =
     c.Experiment.cost c.Experiment.peak_heap
 
 let entry_to_line e =
-  let snap =
-    match e.snap with
-    | None -> ""
-    | Some h -> Printf.sprintf "\"snap\":\"%s\"," (json_escape h)
-  in
-  Printf.sprintf "{\"key\":\"%s\",\"salt\":\"%s\",\"spec\":\"%s\",%s%s}"
-    (json_escape e.key) (json_escape e.salt) (json_escape e.spec_repr) snap
+  Printf.sprintf "{\"key\":\"%s\",\"salt\":\"%s\",\"spec\":\"%s\",%s}"
+    (json_escape e.key) (json_escape e.salt) (json_escape e.spec_repr)
     (classification_fields e.cls)
 
 (* Minimal parser for the flat JSON objects [entry_to_line] emits: string,
@@ -259,7 +242,6 @@ let entry_of_line line =
               key;
               salt;
               spec_repr;
-              snap = str "snap";
               cls =
                 {
                   Experiment.sf;

@@ -40,19 +40,11 @@ val hash : ?salt:string -> spec -> string
 val config_repr : Dpmr_core.Config.t -> string
 (** Full-fidelity rendering of a configuration (a [repr] component). *)
 
-val fork_hash : ?salt:string -> snap:string -> spec -> string
-(** Cache key of a run resumed from a copy-on-write snapshot: the
-    snapshot's content hash is folded in front of [repr], identifying
-    (shared prefix state, divergent suffix) — so federated writers that
-    captured bit-identical group baselines coin identical fork keys. *)
-
 (** One persisted cache record. *)
 type entry = {
   key : string;  (** [hash] of the spec at write time *)
   salt : string;  (** code-version salt at write time *)
   spec_repr : string;  (** [repr], for human inspection of the cache *)
-  snap : string option;
-      (** content hash of the snapshot the run resumed from, if any *)
   cls : Experiment.classification;
 }
 

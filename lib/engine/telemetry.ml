@@ -69,15 +69,13 @@ let speedup_estimate t =
   if t.wall_seconds > 1e-6 && t.busy_seconds > 0. then Some (t.busy_seconds /. t.wall_seconds)
   else None
 
-(* [tier] = (functions promoted, deopts) from [Vm.tier_stats]; [plan_memo]
-   = (hits, misses) of the snapshot planner's divergence-diff cache
-   ([Experiment.diff_memo_stats]).  Both are process-global counters the
-   engine samples at summary time; passed in rather than read here to
-   keep this module free of VM/experiment dependencies.  Only surfaced
-   when the subsystem actually fired, so historical summary shapes are
-   preserved. *)
+(* [tier] = (functions promoted, deopts) from [Vm.tier_stats]: a
+   process-global counter pair the engine samples at summary time,
+   passed in rather than read here to keep this module free of VM
+   dependencies.  Only surfaced when the tier actually fired, so
+   historical summary shapes are preserved. *)
 
-let summary_lines ?(tier = (0, 0)) ?(plan_memo = (0, 0)) ?dispatch t ~workers
+let summary_lines ?(tier = (0, 0)) ?dispatch t ~workers
     ~(cache : Cache.stats option) =
   let total = t.jobs_run + t.jobs_cached + t.jobs_failed in
   let degraded =
@@ -115,21 +113,9 @@ let summary_lines ?(tier = (0, 0)) ?(plan_memo = (0, 0)) ?dispatch t ~workers
   in
   let tier_lines =
     let promoted, deopts = tier in
-    let hits, misses = plan_memo in
-    let looked = hits + misses in
-    if promoted = 0 && deopts = 0 && looked = 0 then []
+    if promoted = 0 && deopts = 0 then []
     else
-      let memo =
-        if looked = 0 then ""
-        else
-          Printf.sprintf "; plan diff memo %d hits / %d lookups (%.1f%%)"
-            hits looked
-            (100. *. float_of_int hits /. float_of_int looked)
-      in
-      [
-        Printf.sprintf "[engine] tier: %d function(s) promoted, %d deopt(s)%s"
-          promoted deopts memo;
-      ]
+      [ Printf.sprintf "[engine] tier: %d function(s) promoted, %d deopt(s)" promoted deopts ]
   in
   (* only surfaced when a remote dispatcher was wired in, so
      single-host runs keep the historical summary shape *)
@@ -156,7 +142,7 @@ let summary_lines ?(tier = (0, 0)) ?(plan_memo = (0, 0)) ?dispatch t ~workers
 (** Machine-readable snapshot of everything {!summary_lines} reports
     (plus the raw fields), for CI trend tracking.  One flat JSON object;
     keys are stable, floats fixed-precision, absent subsystems [null]. *)
-let to_json ?(tier = (0, 0)) ?(plan_memo = (0, 0)) ?dispatch t ~workers
+let to_json ?(tier = (0, 0)) ?dispatch t ~workers
     ~(cache : Cache.stats option) =
   let b = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -188,14 +174,6 @@ let to_json ?(tier = (0, 0)) ?(plan_memo = (0, 0)) ?dispatch t ~workers
         c.Cache.hits looked pct c.Cache.added c.Cache.evicted c.Cache.damaged);
   (let promoted, deopts = tier in
    add "  \"tier\": { \"promoted\": %d, \"deopts\": %d },\n" promoted deopts);
-  (let hits, misses = plan_memo in
-   let looked = hits + misses in
-   let pct =
-     if looked = 0 then 0. else 100. *. float_of_int hits /. float_of_int looked
-   in
-   add
-     "  \"plan_memo\": { \"hits\": %d, \"lookups\": %d, \"hit_rate_pct\": %.1f },\n"
-     hits looked pct);
   (match dispatch with
   | None -> add "  \"dispatch\": null,\n"
   | Some d ->

@@ -68,26 +68,7 @@ type t = {
   golden : Outcome.run;  (** reference run for correct-output and budget *)
   budget : int64;  (** ~20x the golden running time (§3.6's timeout) *)
   seed : int64;
-  diff_memo :
-    ( variant * variant,
-      (string, Dpmr_vm.Lower.func_diff) Hashtbl.t option )
-    Hashtbl.t;
-      (** {!Dpmr_vm.Lower.diff_limits} results by (baseline, member)
-          variant — both programs are pure functions of their variant, so
-          the structural diff is too.  Campaign cells differing only in
-          run seed or budget re-plan the same diffs; unlike memoizing
-          {!prepare} (deliberately avoided, see below), a diff table
-          holds only the {e differing} functions' remaps, so retention
-          across a sweep stays small.  The engine keeps experiments
-          per-domain, so this table is never shared across domains. *)
 }
-
-let diff_memo_hits = Atomic.make 0
-let diff_memo_misses = Atomic.make 0
-
-(** Cumulative (process-wide) planner memo telemetry: (hits, misses) of
-    the {!plan_group} divergence-diff cache. *)
-let diff_memo_stats () = (Atomic.get diff_memo_hits, Atomic.get diff_memo_misses)
 
 let make ?(seed = 42L) wk =
   let base = wk.build () in
@@ -99,7 +80,7 @@ let make ?(seed = 42L) wk =
          wk.name
          (Outcome.to_string golden.Outcome.outcome));
   let budget = Int64.mul 20L (Int64.max golden.Outcome.cost 10_000L) in
-  { wk; base; golden; budget; seed; diff_memo = Hashtbl.create 64 }
+  { wk; base; golden; budget; seed }
 
 let classify t (r : Outcome.run) =
   let co = r.Outcome.outcome = Outcome.Normal && r.Outcome.output = t.golden.Outcome.output in
@@ -191,35 +172,17 @@ let std_not_all_det t kind site =
   c.sf && (not c.co) && not c.ndet
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot/fork campaign execution                                    *)
+(* Compatibility surface for the benchmark's layer replay              *)
 (* ------------------------------------------------------------------ *)
 
-(** Run an already-{!prepare}d variant from zero. *)
-let run_prepared ?seed t p =
-  let seed = Option.value seed ~default:t.seed in
-  let r =
-    match p.pmode with
-    | None ->
-        Dpmr.run_plain ~seed ~budget:t.budget ~args:t.wk.args
-          ~lowered:p.plowered p.pprog
-    | Some (mode, replicas) ->
-        Dpmr.run_transformed ~seed ~budget:t.budget ~args:t.wk.args
-          ~lowered:p.plowered ~mode ~replicas p.pprog
-  in
-  classify t r
+(* Snapshot/fork execution is gone: every job runs from zero.  The
+   benchmark's replay still plans cells through these names, so they
+   stay until its next revision, as a planner that prepares every member
+   and plans each one from zero.  Remove with the replay's
+   [plan_cell]. *)
 
-(** How one member of a snapshot group executes. *)
-type member_plan =
-  | Zero  (** no usable shared prefix: run from zero *)
-  | Inherit of Outcome.run
-      (** the watched baseline ended without reaching this member's
-          divergence frontier, so the member's run is bit-identical to
-          the baseline's — this outcome {e is} the member's outcome *)
-  | Fork of Dpmr.Vm.snapshot * (string, Dpmr_vm.Lower.func_diff) Hashtbl.t
-      (** copy-on-write state captured at the member's frontier, plus
-          the structural diff whose remaps translate the captured frames
-          into the member's register/block numbering; the member resumes
-          from it *)
+type never = |
+type member_plan = Zero | Fork of never
 
 type group = {
   g_variants : variant array;
@@ -227,111 +190,11 @@ type group = {
   g_plans : member_plan array;
 }
 
-let member_snapshot_hash g i =
-  match g.g_plans.(i) with
-  | Fork (snap, _) -> Some (Dpmr.Vm.snapshot_hash snap)
-  | Zero | Inherit _ -> None
+let plan_group ?seed:_ t variants =
+  {
+    g_variants = variants;
+    g_prepared = Array.map (prepare t) variants;
+    g_plans = Array.map (fun _ -> Zero) variants;
+  }
 
-(** Plan one snapshot group: the members of a (workload, seeds, budget,
-    variant-class) campaign cell.  Prepares every member, computes each
-    one's structural divergence frontier against the class baseline —
-    the same program {e without} the injection — and runs ONE watched
-    baseline that captures the VM copy-on-write at the first arrival at
-    each member's own frontier.  Execution up to a member's frontier is
-    bit-identical to that member's from-zero run, so forks inherit the
-    shared warmup instead of replaying it; members whose frontier is
-    never reached inherit the baseline's entire outcome, and the
-    baseline stops early once every member is resolved.  Anything that
-    makes sharing unsound (differing globals or signatures, capture
-    inside an extern callback, active tracing) degrades that member —
-    or the whole plan — to from-zero execution: identical results, just
-    no speedup. *)
-let plan_group ?seed t variants =
-  let seed = Option.value seed ~default:t.seed in
-  let prepared = Array.map (prepare t) variants in
-  let plans = Array.map (fun _ -> Zero) variants in
-  let group = { g_variants = variants; g_prepared = prepared; g_plans = plans } in
-  (* the cell is homogeneous by construction (one variant class, one
-     config), so the first member names the baseline; Golden and
-     Nofi_dpmr members diff empty against it and ride the baseline run
-     as whole-outcome inherits *)
-  let bv =
-    match variants.(0) with
-    | Golden | Fi_stdapp _ -> Golden
-    | Nofi_dpmr cfg | Fi_dpmr (cfg, _, _) -> Nofi_dpmr cfg
-  in
-  let bp = prepare t bv in
-  (let diff v p =
-     (* both sides of the diff are pure functions of their variant, so
-        the memo key is the variant pair; the tables are read-only after
-        construction (remap lookups), safe to share across cells *)
-     match Hashtbl.find_opt t.diff_memo (bv, v) with
-     | Some d ->
-         Atomic.incr diff_memo_hits;
-         d
-     | None ->
-         Atomic.incr diff_memo_misses;
-         let d = Dpmr_vm.Lower.diff_limits bp.plowered p.plowered in
-         Hashtbl.replace t.diff_memo (bv, v) d;
-         d
-   in
-   let diffs = Array.map2 diff variants prepared in
-   let feas =
-     List.filter
-       (fun i -> diffs.(i) <> None)
-       (List.init (Array.length variants) Fun.id)
-   in
-   if feas <> [] then
-     let limitss =
-       Array.of_list
-         (List.map
-            (fun i -> Dpmr_vm.Lower.limit_table (Option.get diffs.(i)))
-            feas)
-     in
-     let watched () =
-       match bp.pmode with
-       | None ->
-           Dpmr.watched_plain ~seed ~budget:t.budget ~args:t.wk.args
-             ~lowered:bp.plowered bp.pprog limitss
-       | Some (mode, replicas) ->
-           Dpmr.watched_transformed ~seed ~budget:t.budget ~args:t.wk.args
-             ~lowered:bp.plowered ~mode ~replicas bp.pprog limitss
-     in
-     match watched () with
-     | results ->
-         List.iteri
-           (fun j i ->
-             plans.(i) <-
-               (match results.(j) with
-               | Dpmr.Vm.Wsnap snap -> Fork (snap, Option.get diffs.(i))
-               | Dpmr.Vm.Wshared r -> Inherit r
-               | Dpmr.Vm.Wzero -> Zero))
-           feas
-     | exception Dpmr.Vm.Watch_infeasible -> ());
-  group
-
-(** Run member [i] of a planned group.  Deterministic — safe to re-run
-    on supervisor retries — and bit-identical to
-    [run_variant ~seed t g.g_variants.(i)]. *)
-let run_member ?seed t g i =
-  let seed = Option.value seed ~default:t.seed in
-  let p = g.g_prepared.(i) in
-  match g.g_plans.(i) with
-  | Zero -> run_prepared ~seed t p
-  | Inherit r -> classify t r
-  | Fork (snap, diffs) ->
-      let remap fname =
-        match Hashtbl.find_opt diffs fname with
-        | Some fd -> fd.Dpmr_vm.Lower.fd_remap
-        | None -> None
-      in
-      let r =
-        match p.pmode with
-        | None ->
-            Dpmr.resume_plain ~seed ~budget:t.budget ~lowered:p.plowered
-              ~remap p.pprog snap
-        | Some (mode, replicas) ->
-            Dpmr.resume_transformed ~seed ~budget:t.budget ~lowered:p.plowered
-              ~remap ~mode ~replicas p.pprog snap
-      in
-      classify t r
+let diff_memo_stats () = (0, 0)

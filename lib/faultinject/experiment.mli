@@ -62,15 +62,6 @@ type t = {
   golden : Outcome.run;
   budget : int64;  (** ~20x the golden cost (§3.6's timeout) *)
   seed : int64;
-  diff_memo :
-    ( variant * variant,
-      (string, Dpmr_vm.Lower.func_diff) Hashtbl.t option )
-    Hashtbl.t;
-      (** {!plan_group}'s divergence-diff cache, keyed by (baseline,
-          member) variant — diffs are pure functions of the variant
-          pair, so cells differing only in run seed or budget share
-          them.  Domain-local by construction (the engine keeps one
-          experiment per domain). *)
 }
 
 (** Build the experiment context: verifies the program and takes the
@@ -100,24 +91,15 @@ val memory_overhead : t -> Config.t -> float
     without natural detection. *)
 val std_not_all_det : t -> Inject.kind -> Inject.site -> bool
 
-(** {1 Snapshot/fork campaign execution}
+(** {1 Compatibility surface for the benchmark's layer replay}
 
-    A campaign cell's members (same workload, seeds, budget and variant
-    class) differ only by injection site: each one's executed
-    instruction stream is bit-identical to the {e uninjected} baseline
-    until it first reaches its own divergence position.  {!plan_group}
-    runs one watched baseline per cell and captures a copy-on-write
-    snapshot at the first arrival at any member's position; feasible
-    members then {!run_member} by resuming from the capture instead of
-    replaying the shared warmup.  Every infeasibility degrades to
-    from-zero execution with identical results. *)
+    Snapshot/fork execution was removed: every job runs from zero
+    ({!run_variant}).  The benchmark's replay still calls these names;
+    they are kept, minimal, until its next revision and then removed. *)
 
-val run_prepared : ?seed:int64 -> t -> prepared -> classification
+type never = |
 
-type member_plan =
-  | Zero
-  | Inherit of Outcome.run
-  | Fork of Dpmr_vm.Vm.snapshot * (string, Dpmr_vm.Lower.func_diff) Hashtbl.t
+type member_plan = Zero | Fork of never  (** always [Zero] *)
 
 type group = {
   g_variants : variant array;
@@ -125,14 +107,8 @@ type group = {
   g_plans : member_plan array;
 }
 
-(** Content hash of the snapshot member [i] forks from, when one was
-    captured — a finer-grained cache-key component. *)
-val member_snapshot_hash : group -> int -> int64 option
-
 val plan_group : ?seed:int64 -> t -> variant array -> group
-val run_member : ?seed:int64 -> t -> group -> int -> classification
+(** Prepare every member and plan each one [Zero]. *)
 
 val diff_memo_stats : unit -> int * int
-(** Cumulative (process-wide) planner memo telemetry: (hits, misses) of
-    the {!plan_group} divergence-diff cache, summed over every
-    experiment and domain since process start. *)
+(** Always [(0, 0)]. *)

@@ -162,89 +162,3 @@ let[@inline] live_bytes t = t.stats.live_bytes
 (** Total heap footprint: bytes between the heap base and the wilderness
     pointer (the working set the cache-pressure cost model taxes). *)
 let footprint_bytes t = Int64.to_int (Int64.sub t.wilderness Mem.heap_base)
-
-(* ---------------- copy-on-write snapshots ---------------- *)
-
-type frozen = {
-  f_wilderness : int64;
-  f_bins : (int * int64 list) list;  (** size class -> free payloads, sorted by class *)
-  f_chunk_sizes : (int64, int) Hashtbl.t;  (** private copy, never mutated *)
-  f_free_set : (int64, unit) Hashtbl.t;
-  f_n_malloc : int;
-  f_n_free : int;
-  f_live : int;
-  f_peak : int;
-  f_hash : int64;
-}
-
-let fnv_basis = 0xCBF29CE484222325L
-let fnv_prime = 0x100000001B3L
-let[@inline] fnv_word h w = Int64.mul (Int64.logxor h w) fnv_prime
-
-(** Capture the allocator's bookkeeping.  O(chunks), but only in cheap
-    table copies — no simulated-memory traffic at all (the heap contents
-    are the {!Mem} snapshot's concern).  The hash is deterministic across
-    processes: bins are folded in size order, and the chunk tables with
-    an order-independent XOR fold (their iteration order is
-    unspecified). *)
-let freeze t =
-  let bins =
-    Hashtbl.fold (fun size l acc -> (size, !l) :: acc) t.bins []
-    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-  in
-  let h = ref (fnv_word fnv_basis t.wilderness) in
-  h := fnv_word !h (Int64.of_int t.stats.n_malloc);
-  h := fnv_word !h (Int64.of_int t.stats.n_free);
-  h := fnv_word !h (Int64.of_int t.stats.live_bytes);
-  h := fnv_word !h (Int64.of_int t.stats.peak_bytes);
-  List.iter
-    (fun (size, l) ->
-      h := fnv_word !h (Int64.of_int size);
-      List.iter (fun a -> h := fnv_word !h a) l)
-    bins;
-  let fold_tbl f tbl =
-    let acc = ref 0L in
-    Hashtbl.iter (fun k v -> acc := Int64.logxor !acc (f k v)) tbl;
-    !acc
-  in
-  h :=
-    fnv_word !h
-      (fold_tbl
-         (fun payload size -> fnv_word (fnv_word fnv_basis payload) (Int64.of_int size))
-         t.chunk_sizes);
-  h := fnv_word !h (fold_tbl (fun payload () -> fnv_word fnv_basis payload) t.free_set);
-  {
-    f_wilderness = t.wilderness;
-    f_bins = bins;
-    f_chunk_sizes = Hashtbl.copy t.chunk_sizes;
-    f_free_set = Hashtbl.copy t.free_set;
-    f_n_malloc = t.stats.n_malloc;
-    f_n_free = t.stats.n_free;
-    f_live = t.stats.live_bytes;
-    f_peak = t.stats.peak_bytes;
-    f_hash = !h;
-  }
-
-(** Rebuild a live allocator over [mem] (a fork of the frozen address
-    space).  Fresh bin refs and table copies: forks never observe each
-    other's bookkeeping. *)
-let thaw mem f =
-  let bins = Hashtbl.create 64 in
-  List.iter (fun (size, l) -> Hashtbl.replace bins size (ref l)) f.f_bins;
-  {
-    mem;
-    wilderness = f.f_wilderness;
-    bins;
-    chunk_sizes = Hashtbl.copy f.f_chunk_sizes;
-    free_set = Hashtbl.copy f.f_free_set;
-    stats =
-      {
-        n_malloc = f.f_n_malloc;
-        n_free = f.f_n_free;
-        live_bytes = f.f_live;
-        peak_bytes = f.f_peak;
-      };
-    tr = Dpmr_trace.Trace.current ();
-  }
-
-let frozen_hash f = f.f_hash

@@ -46,21 +46,3 @@ val live_bytes : t -> int
 (** Bytes between heap base and the wilderness pointer (high-water
     footprint). *)
 val footprint_bytes : t -> int
-
-(** {1 Copy-on-write snapshots} *)
-
-(** Immutable capture of the allocator's bookkeeping (wilderness, bins,
-    chunk tables, stats).  The heap {e contents} live in the paired
-    {!Mem.frozen}. *)
-type frozen
-
-(** O(table-size) capture; touches no simulated memory. *)
-val freeze : t -> frozen
-
-(** Rebuild a live allocator over a thawed memory.  Fully independent of
-    the snapshot and of any other fork. *)
-val thaw : Mem.t -> frozen -> t
-
-(** Deterministic content hash of the frozen bookkeeping (folds bins in
-    size order and chunk tables order-independently). *)
-val frozen_hash : frozen -> int64

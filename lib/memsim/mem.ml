@@ -22,9 +22,7 @@
     fixed base, so the tables stay compact, lookups are an array index
     (no hashing — the diversity transform interleaves app and replica
     accesses on far-apart pages, which thrashed the previous
-    hashtable-plus-one-entry-cache design), and a table is itself a
-    snapshot of the address space: {!freeze} captures the page pointers,
-    and copy-on-write keeps captured pages immutable afterwards. *)
+    hashtable-plus-one-entry-cache design). *)
 
 type fault =
   | Unmapped of int64  (** access to an address with no mapped page *)
@@ -54,48 +52,18 @@ let h_idx0 = Int64.to_int (Int64.shift_right_logical heap_base page_bits)
 
 type fill = Fill_zero | Fill_garbage
 
-(* A segment's pages ([Bytes.empty] = unmapped) and, parallel to it, one
-   share flag per slot: ['\001'] marks a page captured by a {!freeze} —
-   owned jointly with some snapshot — which the write path must copy
-   before mutating.  Flags of unmapped slots are meaningless (the empty
-   sentinel is checked first). *)
+(* A segment's pages, indexed from the segment base; [Bytes.empty] =
+   unmapped. *)
 type t = {
   seed : int64;
   mutable mapped_pages : int;  (** footprint statistic *)
   mutable g_tbl : Bytes.t array;
-  mutable g_shr : Bytes.t;
   mutable s_tbl : Bytes.t array;
-  mutable s_shr : Bytes.t;
   mutable h_tbl : Bytes.t array;
-  mutable h_shr : Bytes.t;
-  mutable chain : int64;
-      (** chained content hash: digest of every byte written up to the
-          last {!freeze} (see {!freeze} for the chaining scheme) *)
 }
-
-type frozen = {
-  f_seed : int64;
-  f_mapped : int;
-  f_g : Bytes.t array;
-  f_s : Bytes.t array;
-  f_h : Bytes.t array;
-  f_hash : int64;
-}
-
-let fnv_basis = 0xCBF29CE484222325L
 
 let create ?(seed = 1L) () =
-  {
-    seed;
-    mapped_pages = 0;
-    g_tbl = [||];
-    g_shr = Bytes.empty;
-    s_tbl = [||];
-    s_shr = Bytes.empty;
-    h_tbl = [||];
-    h_shr = Bytes.empty;
-    chain = Int64.logxor fnv_basis seed;
-  }
+  { seed; mapped_pages = 0; g_tbl = [||]; s_tbl = [||]; h_tbl = [||] }
 
 let[@inline] page_index addr = Int64.to_int (Int64.shift_right_logical addr page_bits)
 
@@ -120,30 +88,6 @@ let[@inline] get_page t addr =
   else if idx >= s_idx0 then tbl_get t.s_tbl (idx - s_idx0) addr
   else tbl_get t.g_tbl idx addr
 
-(* Copy-on-write page for the write path: pages marked shared (captured
-   by a snapshot) are duplicated into the table before the first write,
-   so a forked run never mutates its parent's state.  O(page) per dirty
-   page, once. *)
-let[@inline] tbl_get_w tbl shr rel addr =
-  if rel < Array.length tbl then begin
-    let p = Array.unsafe_get tbl rel in
-    if p == Bytes.empty then unmapped addr
-    else if Bytes.unsafe_get shr rel = '\000' then p
-    else begin
-      let q = Bytes.copy p in
-      Array.unsafe_set tbl rel q;
-      Bytes.unsafe_set shr rel '\000';
-      q
-    end
-  end
-  else unmapped addr
-
-let[@inline] get_page_w t addr =
-  let idx = page_index addr in
-  if idx >= h_idx0 then tbl_get_w t.h_tbl t.h_shr (idx - h_idx0) addr
-  else if idx >= s_idx0 then tbl_get_w t.s_tbl t.s_shr (idx - s_idx0) addr
-  else tbl_get_w t.g_tbl t.g_shr idx addr
-
 (* ------------------------------------------------------------------ *)
 (* Mapping                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -159,14 +103,11 @@ let new_page t idx fill =
       done);
   page
 
-let grow_tbl tbl shr need =
+let grow_tbl tbl need =
   let n = Array.length tbl in
-  let n' = max need (max 64 (2 * n)) in
-  let tbl' = Array.make n' Bytes.empty in
+  let tbl' = Array.make (max need (max 64 (2 * n))) Bytes.empty in
   Array.blit tbl 0 tbl' 0 n;
-  let shr' = Bytes.make n' '\000' in
-  Bytes.blit shr 0 shr' 0 n;
-  (tbl', shr')
+  tbl'
 
 let map_page t idx fill =
   let seg =
@@ -174,28 +115,16 @@ let map_page t idx fill =
   in
   let rel = match seg with 2 -> idx - h_idx0 | 1 -> idx - s_idx0 | _ -> idx in
   let tbl = match seg with 2 -> t.h_tbl | 1 -> t.s_tbl | _ -> t.g_tbl in
-  if rel >= Array.length tbl then begin
-    let shr = match seg with 2 -> t.h_shr | 1 -> t.s_shr | _ -> t.g_shr in
-    let tbl', shr' = grow_tbl tbl shr (rel + 1) in
-    match seg with
-    | 2 ->
-        t.h_tbl <- tbl';
-        t.h_shr <- shr'
-    | 1 ->
-        t.s_tbl <- tbl';
-        t.s_shr <- shr'
-    | _ ->
-        t.g_tbl <- tbl';
-        t.g_shr <- shr'
-  end;
-  let tbl = match seg with 2 -> t.h_tbl | 1 -> t.s_tbl | _ -> t.g_tbl in
+  let tbl =
+    if rel < Array.length tbl then tbl
+    else begin
+      let tbl' = grow_tbl tbl (rel + 1) in
+      (match seg with 2 -> t.h_tbl <- tbl' | 1 -> t.s_tbl <- tbl' | _ -> t.g_tbl <- tbl');
+      tbl'
+    end
+  in
   if Array.unsafe_get tbl rel == Bytes.empty then begin
     Array.unsafe_set tbl rel (new_page t idx fill);
-    (* freshly mapped: privately owned, whatever a stale flag said *)
-    (match seg with
-    | 2 -> Bytes.unsafe_set t.h_shr rel '\000'
-    | 1 -> Bytes.unsafe_set t.s_shr rel '\000'
-    | _ -> Bytes.unsafe_set t.g_shr rel '\000');
     t.mapped_pages <- t.mapped_pages + 1
   end
 
@@ -225,7 +154,7 @@ let[@inline] offset addr = Int64.to_int (Int64.logand addr 0xFFFL)
 let read_u8 t addr = Char.code (Bytes.get (get_page t addr) (offset addr))
 
 let write_u8 t addr v =
-  Bytes.set (get_page_w t addr) (offset addr) (Char.chr (v land 0xFF))
+  Bytes.set (get_page t addr) (offset addr) (Char.chr (v land 0xFF))
 
 let rec read_bytes t addr len =
   let off = offset addr in
@@ -238,10 +167,10 @@ let rec read_bytes t addr len =
 
 let rec write_bytes t addr b pos len =
   let off = offset addr in
-  if off + len <= page_size then Bytes.blit b pos (get_page_w t addr) off len
+  if off + len <= page_size then Bytes.blit b pos (get_page t addr) off len
   else begin
     let first = page_size - off in
-    Bytes.blit b pos (get_page_w t addr) off first;
+    Bytes.blit b pos (get_page t addr) off first;
     write_bytes t (Int64.add addr (Int64.of_int first)) b (pos + first) (len - first)
   end
 
@@ -296,7 +225,7 @@ let[@inline] read_int t addr len =
 let[@inline] write_int t addr len v =
   let off = offset addr in
   if off + len <= page_size then
-    let page = get_page_w t addr in
+    let page = get_page t addr in
     match len with
     | 1 -> Bytes.unsafe_set page off (Char.unsafe_chr (Int64.to_int (Int64.logand v 0xFFL)))
     | 2 -> set16_le page off (Int64.to_int (Int64.logand v 0xFFFFL))
@@ -323,7 +252,7 @@ let fill t addr len byte =
     if len > 0 then begin
       let off = offset addr in
       let seg = min len (page_size - off) in
-      Bytes.fill (get_page_w t addr) off seg c;
+      Bytes.fill (get_page t addr) off seg c;
       go (Int64.add addr (Int64.of_int seg)) (len - seg)
     end
   in
@@ -333,88 +262,3 @@ let fill t addr len byte =
 let move t ~dst ~src len =
   let b = read_bytes t src len in
   write_bytes t dst b 0 len
-
-(* ------------------------------------------------------------------ *)
-(* Copy-on-write snapshots                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* FNV-1a over 8-byte lanes: same mixing discipline as FNV-1a but
-   consuming a 64-bit word per step instead of a byte, so hashing a dirty
-   page costs 512 multiplies, not 4096.  Deterministic across processes
-   (pure arithmetic over page contents), which is what lets the hash
-   participate in the federated cache identity. *)
-let fnv_prime = 0x100000001B3L
-
-let[@inline] fnv_word h w = Int64.mul (Int64.logxor h w) fnv_prime
-
-let fnv_page h page =
-  let h = ref h in
-  for i = 0 to (page_size / 8) - 1 do
-    h := fnv_word !h (get64_le page (i * 8))
-  done;
-  !h
-
-(* Hash every *privately owned* mapped page of a segment — exactly the
-   pages written (or freshly mapped) since the previous [freeze], because
-   freezing marks everything shared and the write path clears the flag on
-   privatized copies. *)
-let fnv_dirty h seg_tag tbl shr =
-  let h = ref h in
-  for rel = 0 to Array.length tbl - 1 do
-    let p = Array.unsafe_get tbl rel in
-    if p != Bytes.empty && Bytes.unsafe_get shr rel = '\000' then begin
-      h := fnv_word !h (Int64.of_int ((seg_tag lsl 24) lxor rel));
-      h := fnv_page !h p
-    end
-  done;
-  !h
-
-(** Capture the current state as an immutable snapshot.  The snapshot
-    shares page storage with [t]: both sides copy a page before their
-    first subsequent write to it (copy-on-write), so the capture itself
-    is O(table), not O(heap).
-
-    [f_hash] is a {e chained} content hash: the previous chain value
-    extended with the content of every page dirtied since.  Two states
-    with equal chain hashes went through identical write histories from
-    the same root, so equal hashes imply equal memory content (the
-    converse may not hold — identical content reached via different
-    histories hashes differently, which costs sharing, never
-    soundness). *)
-let freeze t =
-  let h = ref t.chain in
-  h := fnv_word !h (Int64.of_int t.mapped_pages);
-  h := fnv_dirty !h 0 t.g_tbl t.g_shr;
-  h := fnv_dirty !h 1 t.s_tbl t.s_shr;
-  h := fnv_dirty !h 2 t.h_tbl t.h_shr;
-  Bytes.fill t.g_shr 0 (Bytes.length t.g_shr) '\001';
-  Bytes.fill t.s_shr 0 (Bytes.length t.s_shr) '\001';
-  Bytes.fill t.h_shr 0 (Bytes.length t.h_shr) '\001';
-  t.chain <- !h;
-  {
-    f_seed = t.seed;
-    f_mapped = t.mapped_pages;
-    f_g = Array.copy t.g_tbl;
-    f_s = Array.copy t.s_tbl;
-    f_h = Array.copy t.h_tbl;
-    f_hash = !h;
-  }
-
-(** Rebuild a live memory from a snapshot.  The new memory shares every
-    page with the snapshot (and with any other fork of it); all pages are
-    marked shared, so the first write to each page copies it.  O(table). *)
-let thaw f =
-  {
-    seed = f.f_seed;
-    mapped_pages = f.f_mapped;
-    g_tbl = Array.copy f.f_g;
-    g_shr = Bytes.make (Array.length f.f_g) '\001';
-    s_tbl = Array.copy f.f_s;
-    s_shr = Bytes.make (Array.length f.f_s) '\001';
-    h_tbl = Array.copy f.f_h;
-    h_shr = Bytes.make (Array.length f.f_h) '\001';
-    chain = f.f_hash;
-  }
-
-let frozen_hash f = f.f_hash
-let frozen_pages f = f.f_mapped

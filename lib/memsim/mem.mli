@@ -17,10 +17,7 @@
     uninitialized heap/stack reads see arbitrary but reproducible data.
 
     Pages live in dense per-segment tables (array index per access, no
-    hashing), which doubles as the snapshot representation: {!freeze}
-    captures the page pointers in O(table) and marks every page
-    copy-on-write, so forks created by {!thaw} and the frozen parent
-    never observe each other's writes. *)
+    hashing). *)
 
 type fault =
   | Unmapped of int64
@@ -42,17 +39,9 @@ type t = {
   seed : int64;
   mutable mapped_pages : int;  (** footprint statistic *)
   mutable g_tbl : Bytes.t array;  (** globals pages, indexed from page 0 *)
-  mutable g_shr : Bytes.t;  (** share flags parallel to [g_tbl] *)
   mutable s_tbl : Bytes.t array;  (** stack pages, from [stack_base] *)
-  mutable s_shr : Bytes.t;
   mutable h_tbl : Bytes.t array;  (** heap pages, from [heap_base] *)
-  mutable h_shr : Bytes.t;
-  mutable chain : int64;  (** chained content hash as of the last freeze *)
 }
-
-(** Immutable snapshot of an address space.  Shares page storage with
-    live memories; copy-on-write keeps it unchanged under their writes. *)
-type frozen
 
 val create : ?seed:int64 -> unit -> t
 val map_page : t -> int -> fill -> unit
@@ -80,23 +69,3 @@ val fill : t -> int64 -> int -> int -> unit
 
 (** memmove semantics (overlap-safe copy). *)
 val move : t -> dst:int64 -> src:int64 -> int -> unit
-
-(** {1 Copy-on-write snapshots} *)
-
-(** Capture the current state.  O(table), not O(heap): pages are shared
-    with the snapshot and copied lazily on the next write from either
-    side.  Advances the memory's chained content hash over every page
-    dirtied since the previous freeze. *)
-val freeze : t -> frozen
-
-(** Rebuild a live, independently mutable memory from a snapshot in
-    O(table).  Writes to the result never touch the snapshot or any
-    other fork of it. *)
-val thaw : frozen -> t
-
-(** Chained content hash of the frozen state: equal hashes imply equal
-    content (same write history from the same root); deterministic
-    across processes, so it can serve as a cache-key component. *)
-val frozen_hash : frozen -> int64
-
-val frozen_pages : frozen -> int

@@ -35,9 +35,3 @@ let float t =
 let hash2 a b =
   let t = create (Int64.logxor (Int64.of_int a) (Int64.mul (Int64.of_int b) golden)) in
   next t
-
-(** Raw stream position, for checkpointing: [set_state t (state t')]
-    makes [t] produce exactly the draws [t'] would have. *)
-let state t = t.state
-
-let set_state t s = t.state <- s

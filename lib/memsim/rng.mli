@@ -21,9 +21,3 @@ val float : t -> float
 
 (** Stateless hash of two ints (deterministic page garbage). *)
 val hash2 : int -> int -> int64
-
-(** Raw stream position, for checkpointing a VM: restoring it with
-    {!set_state} resumes the exact draw sequence. *)
-val state : t -> int64
-
-val set_state : t -> int64 -> unit

@@ -186,7 +186,7 @@ type body =
   | Batch of int
       (** batch header: the next [n] frames on this connection are [Run]
           requests forming one batch.  The server executes them as one
-          engine batch (pool parallelism, shared snapshot cells) and
+          engine batch (pool parallelism) and
           answers with [n] frames in input order, each tagged with the
           header's request id and its batch index ([encode_response
           ?index]) so a desynchronized stream fails loudly. *)

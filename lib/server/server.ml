@@ -260,8 +260,7 @@ let stats_json t =
   add "  \"telemetry\": %s" (String.trim
     (Telemetry.to_json (Engine.telemetry t.engine) ~workers:(Engine.jobs t.engine)
        ~cache:(Engine.cache_stats t.engine)
-       ~tier:(Dpmr_vm.Vm.tier_stats ())
-       ~plan_memo:(Dpmr_fi.Experiment.diff_memo_stats ())));
+       ~tier:(Dpmr_vm.Vm.tier_stats ())));
   add "\n}\n";
   Buffer.contents b
 
@@ -372,8 +371,7 @@ let handle t (session : Session.t) (req : Protocol.request) =
 (* One scattered chunk: a batch header followed by [n] run frames,
    answered with [n] frames in input order (each tagged with the header
    rid and its batch index).  All admissible items execute as ONE engine
-   batch, so the remote pool parallelism and snapshot-cell forking the
-   dispatcher grouped them for actually happen; inadmissible items
+   batch, so the remote pool runs them in parallel; inadmissible items
    (draining, quota, bad request, unknown workload) answer with their
    own error frames and never poison the rest of the chunk. *)
 let handle_batch t (session : Session.t) cfd ~rid n =

@@ -44,7 +44,7 @@ open Dpmr_ir
 open Dpmr_memsim
 module L = Lower
 
-(* What a tier entry returns to [Vm.exec_lblocks_at]. *)
+(* What a tier entry returns to [Vm.exec_lblocks]. *)
 type result =
   | Rret of Lower.value option  (** the function returned *)
   | Rdeopt of int
@@ -99,9 +99,8 @@ end
 module Make (R : RUNTIME) = struct
   (* Per-entry execution state: one record allocated per tier entry,
      threading everything hot through a single immediate argument.
-     [mem]/[alloc]/[budget] are stable for the duration of a run (only
-     [Vm.resume] swaps spaces, never mid-run), so they are hoisted out
-     of the VM record once here. *)
+     [mem]/[alloc]/[budget] are stable for the duration of a run, so
+     they are hoisted out of the VM record once here. *)
   type cstate = {
     rt : R.t;
     cost : int ref;  (* the VM's own counter, captured once *)

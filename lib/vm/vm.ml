@@ -83,8 +83,8 @@ let () =
 type t = {
   prog : Prog.t;
   lprog : Lower.prog;
-  mutable mem : Mem.t;  (** mutable only for {!resume}: forks swap in a thawed space *)
-  mutable alloc : Allocator.t;
+  mem : Mem.t;
+  alloc : Allocator.t;
   mutable sp : int64;
   global_addr : (string, int64) Hashtbl.t;
   fun_addr : (string, int64) Hashtbl.t;
@@ -370,83 +370,6 @@ let make_lframe nregs sp =
 let tier_enter : (t -> L.lfunc -> lframe -> int -> Compile.result) ref =
   ref (fun _ _ _ _ -> assert false)
 
-(* ------------------------------------------------------------------ *)
-(* Copy-on-write snapshots: types and watched-execution context        *)
-(* ------------------------------------------------------------------ *)
-
-(* One captured activation record: where the frame stood (function,
-   block, instruction) and a private copy of its register file.  For the
-   innermost frame [sf_inst] is the next instruction to execute; for
-   every outer frame it indexes the in-flight [Lcall]. *)
-type snap_frame = {
-  sf_fname : string;
-  sf_bidx : int;
-  sf_inst : int;
-  sf_bits : Bytes.t;
-  sf_tags : Bytes.t;
-  sf_entry_sp : int64;
-}
-
-type snapshot = {
-  sn_mem : Mem.frozen;
-  sn_alloc : Allocator.frozen;
-  sn_rng : int64;
-  sn_sp : int64;
-  sn_cost : int;
-  sn_out : string;
-  sn_funaddr : (string * int64) list;  (* first-use address assignments, by name *)
-  sn_next_fun_addr : int64;
-  sn_frames : snap_frame list;  (* outermost first *)
-  sn_hash : int64;
-}
-
-(* Live shadow of one activation during a watched run, updated as
-   execution moves so a fire can capture the whole stack. *)
-type wframe = {
-  wf_fname : string;
-  mutable wf_bidx : int;
-  mutable wf_inst : int;
-  wf_frame : lframe;
-}
-
-(* One watched group member: its divergence frontier
-   ({!Lower.diff_limits} against the baseline) and how it resolved.
-   Exactly one of the three outcomes holds when the watch ends:
-   captured ([wm_snap]), unsharable ([wm_unsharable] — the frontier was
-   reached where a fork cannot resume), or still active (the baseline
-   never reached the frontier, so the member inherits the baseline's
-   whole run). *)
-type wmember = {
-  wm_limits : (string, int array) Hashtbl.t;
-  mutable wm_snap : snapshot option;
-  mutable wm_unsharable : bool;
-}
-
-type wctx = {
-  w_members : wmember array;
-  mutable w_merged : (string, int array) Hashtbl.t;
-      (** elementwise-min frontier over the still-active members: fire
-          before executing instruction [merged.(blk)] of a listed
-          function's block; rebuilt after every fire *)
-  mutable w_active : int;
-  mutable w_stack : wframe list;  (** innermost first *)
-  mutable w_extern : int;  (** depth of extern calls currently on the stack *)
-}
-
-exception Watch_done
-(** Internal: every member is resolved — the rest of the baseline run
-    serves nobody, so unwind it. *)
-
-exception Watch_infeasible
-(** The whole watch is impossible on this VM (tracing active).  Callers
-    fall back to from-zero execution. *)
-
-(* Watched context of the domain's current baseline run.  A DLS slot
-   rather than a [t] field keeps the snapshot machinery entirely off the
-   record (and off the mli): only [call_function] — the extern re-entry
-   path — consults it. *)
-let wctx_key : wctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
 let[@inline] reg_int fr r =
   if Bytes.unsafe_get fr.tags r <> '\000' then
     raise (Vm_error "expected int/pointer value");
@@ -527,13 +450,7 @@ let unknown_function name =
 let rec call_function t name args =
   if t.use_lowered then
     match Hashtbl.find_opt t.lprog.L.funcs name with
-    | Some lf -> (
-        (* extern re-entry (e.g. a qsort comparator) must stay watched
-           during a watched baseline, or a divergence inside the callback
-           would be executed unnoticed and poison the snapshot *)
-        match Domain.DLS.get wctx_key with
-        | None -> exec_lfunc t lf (Array.of_list args)
-        | Some w -> wexec_lfunc t w lf (Array.of_list args))
+    | Some lf -> exec_lfunc t lf (Array.of_list args)
     | None -> (
         match Hashtbl.find_opt t.externs name with
         | Some fn -> fn t args
@@ -574,15 +491,9 @@ and exec_lfunc t (lf : L.lfunc) (args : value array) =
   t.call_depth <- t.call_depth - 1;
   result
 
-and exec_lblocks t (lf : L.lfunc) frame = exec_lblocks_at t lf frame 0 0
-
-(* [exec_lblocks_at _ _ _ idx0 i0] enters block [idx0] at instruction
-   [i0] — 0, 0 for a normal call; a mid-block position when [resume]
-   re-enters a snapshotted activation.
-
-   Every block boundary ([i0 = 0]) is also a tier-promotion point: once
-   the function has executed [!tier_threshold] lowered blocks it enters
-   the compiled tier — at call granularity for short hot functions, and
+(* Every block boundary is also a tier-promotion point: once the
+   function has executed [!tier_threshold] lowered blocks it enters the
+   compiled tier — at call granularity for short hot functions, and
    mid-run (on-stack replacement: same frame, same block index) for a
    long-running loop that never returns.  Promotion is refused while
    full fidelity is required: a trace sink needs per-block samples and
@@ -590,49 +501,46 @@ and exec_lblocks t (lf : L.lfunc) frame = exec_lblocks_at t lf frame 0 0
    the block-by-block shape the forensics suite reasons about.  The
    compiled tier deoptimizes back here (a [Rdeopt] with the next block
    index) when fidelity demands appear mid-run. *)
-and exec_lblocks_at t (lf : L.lfunc) frame idx0 i0 =
+and exec_lblocks t (lf : L.lfunc) frame =
   let blocks = lf.L.lblocks in
-  let rec go idx i0 =
-    if i0 = 0 then begin
-      let h = lf.L.lhot + 1 in
-      lf.L.lhot <- h;
-      if h >= !tier_threshold then
-        if t.trace == None && t.fi_first_cost == None then
-          match !tier_enter t lf frame idx with
-          | Compile.Rret v -> v
-          | Compile.Rdeopt b -> exec_block b 0
-        else begin
-          (* the only tier transition observable under a sink: record
-             the refusal once, at the exact threshold crossing *)
-          (if h = !tier_threshold then
-             match t.trace with
-             | Some s ->
-                 Trace.emit_tier s ~cost:(!(t.cost)) ~fname:lf.L.lname
-                   ~transition:Trace.Tier_refused
-             | None -> ());
-          exec_block idx 0
-        end
-      else exec_block idx 0
-    end
-    else exec_block idx i0
-  and exec_block idx i0 =
+  let rec go idx =
+    let h = lf.L.lhot + 1 in
+    lf.L.lhot <- h;
+    if h >= !tier_threshold then
+      if t.trace == None && t.fi_first_cost == None then
+        match !tier_enter t lf frame idx with
+        | Compile.Rret v -> v
+        | Compile.Rdeopt b -> exec_block b
+      else begin
+        (* the only tier transition observable under a sink: record
+           the refusal once, at the exact threshold crossing *)
+        (if h = !tier_threshold then
+           match t.trace with
+           | Some s ->
+               Trace.emit_tier s ~cost:(!(t.cost)) ~fname:lf.L.lname
+                 ~transition:Trace.Tier_refused
+           | None -> ());
+        exec_block idx
+      end
+    else exec_block idx
+  and exec_block idx =
     let (b : L.lblock) = blocks.(idx) in
     check_budget t;
     (match t.trace with
     | Some s -> Trace.sample_block s ~cost:(!(t.cost)) ~fname:lf.L.lname ~blk:idx
     | None -> ());
     let insts = b.L.linsts in
-    for i = i0 to Array.length insts - 1 do
+    for i = 0 to Array.length insts - 1 do
       exec_linst t frame (Array.unsafe_get insts i)
     done;
     match b.L.lterm with
     | L.Lbr tgt ->
         add_cost t Cost.branch;
-        go (resolve_target tgt) 0
+        go (resolve_target tgt)
     | L.Lcbr (c, t1, t2) ->
         add_cost t Cost.cond_branch;
         let v = leval_int t frame c in
-        go (resolve_target (if not (Int64.equal v 0L) then t1 else t2)) 0
+        go (resolve_target (if not (Int64.equal v 0L) then t1 else t2))
     | L.Lcheck (c, t1, t2, d1, d2) ->
         (* identical to Lcbr, plus: a branch away from the detection
            block is a replica comparison that passed *)
@@ -643,7 +551,7 @@ and exec_lblocks_at t (lf : L.lfunc) frame idx0 i0 =
         | Some s when not to_det ->
             Trace.emit_compare s ~cost:(!(t.cost)) ~app:(-1L) ~rep:(-1L) ~len:0
         | _ -> ());
-        go (resolve_target tgt) 0
+        go (resolve_target tgt)
     | L.Lcmpbr (r, c, w, a, bb, t1, t2) ->
         (* fused [Licmp]+[Lcbr]: same costs, same register write *)
         add_cost t Cost.cmp;
@@ -652,7 +560,7 @@ and exec_lblocks_at t (lf : L.lfunc) frame idx0 i0 =
         let v = exec_icmp c w va vb in
         set_int frame r v;
         add_cost t Cost.cond_branch;
-        go (resolve_target (if not (Int64.equal v 0L) then t1 else t2)) 0
+        go (resolve_target (if not (Int64.equal v 0L) then t1 else t2))
     | L.Lcmpcheck (r, c, w, a, bb, t1, t2, d1, d2) ->
         add_cost t Cost.cmp;
         let vb = leval_int t frame bb in
@@ -665,13 +573,13 @@ and exec_lblocks_at t (lf : L.lfunc) frame idx0 i0 =
         | Some s when not to_det ->
             Trace.emit_compare s ~cost:(!(t.cost)) ~app:(-1L) ~rep:(-1L) ~len:0
         | _ -> ());
-        go (resolve_target tgt) 0
+        go (resolve_target tgt)
     | L.Lret o ->
         add_cost t Cost.ret;
         Option.map (leval t frame) o
     | L.Lunreachable msg -> raise (Vm_error msg)
   in
-  go idx0 i0
+  go 0
 
 and exec_linst t frame (inst : L.linst) =
   match inst with
@@ -915,246 +823,6 @@ and finish_call _t frame r name result =
   | Some _, None ->
       raise (Vm_error (Printf.sprintf "%s returned void, result expected" name))
   | None, _ -> ()
-
-(* ---- watched execution: the lowered engine plus divergence limits ----
-
-   Runs the baseline program of a snapshot/fork group.  Identical effect
-   sequence to [exec_lfunc]/[exec_lblocks]/[exec_linst] — costs, traps,
-   evaluation order — with two additions: a shadow stack of activation
-   positions, and a per-block watch limit.  On first arrival at a limit
-   position it captures the whole VM state as a {!snapshot} and unwinds
-   with {!Watch_fired}.  Watched runs require [t.trace = None] (enforced
-   by [run_watched]), so the trace arms are omitted. *)
-
-and wexec_lfunc t w (lf : L.lfunc) (args : value array) =
-  if t.call_depth >= max_call_depth then raise (Vm_error "stack overflow");
-  t.call_depth <- t.call_depth + 1;
-  let nparams = Array.length lf.L.lparams in
-  if Array.length args < nparams then
-    raise
-      (Vm_error
-         (Printf.sprintf "%s: missing argument %d" lf.L.lname
-            (Array.length args)));
-  let frame = make_lframe lf.L.lnregs t.sp in
-  for i = 0 to nparams - 1 do
-    set_value frame lf.L.lparams.(i) args.(i)
-  done;
-  if Array.length lf.L.lblocks = 0 then
-    invalid_arg (Printf.sprintf "Func.entry: %s has no blocks" lf.L.lname);
-  let wf = { wf_fname = lf.L.lname; wf_bidx = 0; wf_inst = 0; wf_frame = frame } in
-  w.w_stack <- wf :: w.w_stack;
-  let result = wexec_lblocks t w lf frame wf in
-  w.w_stack <- List.tl w.w_stack;
-  t.sp <- frame.lentry_sp;
-  t.call_depth <- t.call_depth - 1;
-  result
-
-and wexec_lblocks t w (lf : L.lfunc) frame wf =
-  let blocks = lf.L.lblocks in
-  let limit idx =
-    match Hashtbl.find_opt w.w_merged lf.L.lname with
-    | Some a when idx < Array.length a -> Array.unsafe_get a idx
-    | _ -> max_int
-  in
-  let rec go idx =
-    let (b : L.lblock) = blocks.(idx) in
-    wf.wf_bidx <- idx;
-    check_budget t;
-    let insts = b.L.linsts in
-    let n = Array.length insts in
-    (* [lim] is cached across instructions and re-fetched only after a
-       fire (the merged frontier shrinks as members resolve); [fire]
-       guarantees the new limit at this block exceeds the fire position,
-       so the loop always progresses *)
-    let rec insts_from i lim =
-      if i = lim then begin
-        wf.wf_inst <- i;
-        fire t w idx i;
-        insts_from i (limit idx)
-      end
-      else if i < n then begin
-        wf.wf_inst <- i;
-        wexec_linst t w frame (Array.unsafe_get insts i);
-        insts_from (i + 1) lim
-      end
-      else begin match b.L.lterm with
-      | L.Lbr tgt ->
-          add_cost t Cost.branch;
-          go (resolve_target tgt)
-      | L.Lcbr (c, t1, t2) ->
-          add_cost t Cost.cond_branch;
-          let v = leval_int t frame c in
-          go (resolve_target (if not (Int64.equal v 0L) then t1 else t2))
-      | L.Lcheck (c, t1, t2, _, _) ->
-          add_cost t Cost.cond_branch;
-          let v = leval_int t frame c in
-          go (resolve_target (if not (Int64.equal v 0L) then t1 else t2))
-      | L.Lcmpbr (r, c, w', a, bb, t1, t2) ->
-          add_cost t Cost.cmp;
-          let vb = leval_int t frame bb in
-          let va = leval_int t frame a in
-          let v = exec_icmp c w' va vb in
-          set_int frame r v;
-          add_cost t Cost.cond_branch;
-          go (resolve_target (if not (Int64.equal v 0L) then t1 else t2))
-      | L.Lcmpcheck (r, c, w', a, bb, t1, t2, _, _) ->
-          add_cost t Cost.cmp;
-          let vb = leval_int t frame bb in
-          let va = leval_int t frame a in
-          let v = exec_icmp c w' va vb in
-          set_int frame r v;
-          add_cost t Cost.cond_branch;
-          go (resolve_target (if not (Int64.equal v 0L) then t1 else t2))
-      | L.Lret o ->
-          add_cost t Cost.ret;
-          Option.map (leval t frame) o
-      | L.Lunreachable msg -> raise (Vm_error msg)
-      end
-    in
-    insts_from 0 (limit idx)
-  in
-  go 0
-
-and wexec_linst t w frame (inst : L.linst) =
-  match inst with
-  | L.Lcall (r, callee, args, cost) -> (
-      add_cost t cost;
-      let eval_args () =
-        let n = Array.length args in
-        let argv = Array.make n (I 0L) in
-        for i = 0 to n - 1 do
-          argv.(i) <- leval t frame args.(i)
-        done;
-        argv
-      in
-      (* a fire inside an extern (via [call_function] re-entry) cannot be
-         resumed — count the nesting so [fire] can refuse *)
-      let extern_call fn argv =
-        w.w_extern <- w.w_extern + 1;
-        Fun.protect
-          ~finally:(fun () -> w.w_extern <- w.w_extern - 1)
-          (fun () -> fn t (Array.to_list argv))
-      in
-      match callee with
-      | L.Lfun lf -> finish_call t frame r lf.L.lname (wexec_lfunc t w lf (eval_args ()))
-      | L.Lextern (slot, name) -> (
-          let argv = eval_args () in
-          match t.extern_slots.(slot) with
-          | Some fn -> finish_call t frame r name (extern_call fn argv)
-          | None -> (
-              match Hashtbl.find_opt t.externs name with
-              | Some fn ->
-                  t.extern_slots.(slot) <- Some fn;
-                  finish_call t frame r name (extern_call fn argv)
-              | None -> unknown_function name))
-      | L.Lindirect o -> (
-          let addr = leval_int t frame o in
-          match Hashtbl.find_opt t.addr_fun addr with
-          | None -> raise (Mem.Fault (Mem.Unmapped addr))
-          | Some name -> (
-              let argv = eval_args () in
-              match Hashtbl.find_opt t.lprog.L.funcs name with
-              | Some lf -> finish_call t frame r name (wexec_lfunc t w lf argv)
-              | None -> (
-                  match Hashtbl.find_opt t.externs name with
-                  | Some fn -> finish_call t frame r name (extern_call fn argv)
-                  | None -> unknown_function name))))
-  | inst -> exec_linst t frame inst
-
-(* Capture everything a fork needs.  All copies are O(tables + frames):
-   page contents stay shared copy-on-write. *)
-and capture t w =
-  let frames =
-    List.rev_map
-      (fun wf ->
-        {
-          sf_fname = wf.wf_fname;
-          sf_bidx = wf.wf_bidx;
-          sf_inst = wf.wf_inst;
-          sf_bits = Bytes.copy wf.wf_frame.bits;
-          sf_tags = Bytes.copy wf.wf_frame.tags;
-          sf_entry_sp = wf.wf_frame.lentry_sp;
-        })
-      w.w_stack
-  in
-  let funaddr =
-    Hashtbl.fold (fun name a acc -> (name, a) :: acc) t.fun_addr []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let mem_f = Mem.freeze t.mem in
-  let alloc_f = Allocator.freeze t.alloc in
-  let out = Buffer.contents t.out in
-  (* combined content hash: equal hashes imply forks resume from equal
-     states; deterministic across processes for cache federation *)
-  let h = ref (Mem.frozen_hash mem_f) in
-  let word x = h := Int64.mul (Int64.logxor !h x) 0x100000001B3L in
-  let str s = String.iter (fun c -> word (Int64.of_int (Char.code c))) s in
-  word (Allocator.frozen_hash alloc_f);
-  word (Rng.state t.rng);
-  word t.sp;
-  word (Int64.of_int !(t.cost));
-  word t.next_fun_addr;
-  str out;
-  List.iter
-    (fun (n, a) ->
-      str n;
-      word a)
-    funaddr;
-  List.iter
-    (fun sf ->
-      str sf.sf_fname;
-      word (Int64.of_int sf.sf_bidx);
-      word (Int64.of_int sf.sf_inst);
-      str (Bytes.to_string sf.sf_bits);
-      str (Bytes.to_string sf.sf_tags);
-      word sf.sf_entry_sp)
-    frames;
-  {
-    sn_mem = mem_f;
-    sn_alloc = alloc_f;
-    sn_rng = Rng.state t.rng;
-    sn_sp = t.sp;
-    sn_cost = !(t.cost);
-    sn_out = out;
-    sn_funaddr = funaddr;
-    sn_next_fun_addr = t.next_fun_addr;
-    sn_frames = frames;
-    sn_hash = !h;
-  }
-
-(* Execution is about to reach position [pos] of block [bidx] — the
-   divergence frontier of at least one active member.  Resolve exactly
-   the members whose frontier is here: capture one shared snapshot for
-   them (or mark them unsharable when the position is unreachable for a
-   fork — inside an extern callback such as the qsort comparator), then
-   rebuild the merged frontier so the baseline keeps running for the
-   members that still need it.  Raises {!Watch_done} once nobody does. *)
-and fire t w bidx pos =
-  let fname = (List.hd w.w_stack).wf_fname in
-  let active m = m.wm_snap = None && not m.wm_unsharable in
-  let here m =
-    active m
-    && (match Hashtbl.find_opt m.wm_limits fname with
-       | Some a when bidx < Array.length a -> a.(bidx) = pos
-       | _ -> false)
-  in
-  let snap =
-    if w.w_extern > 0 || t.fi_first_cost <> None then None
-    else Some (capture t w)
-  in
-  Array.iter
-    (fun m ->
-      if here m then begin
-        (match snap with
-        | Some sn -> m.wm_snap <- Some sn
-        | None -> m.wm_unsharable <- true);
-        w.w_active <- w.w_active - 1
-      end)
-    w.w_members;
-  if w.w_active <= 0 then raise Watch_done;
-  let merged = Hashtbl.create 16 in
-  Array.iter (fun m -> if active m then L.merge_limits merged m.wm_limits) w.w_members;
-  w.w_merged <- merged
 
 (* ---- reference engine: the original tree-walking interpreter ---- *)
 
@@ -1482,200 +1150,3 @@ let run ?(entry = "main") ?(args = [ "prog" ]) t =
   match !tier_mode_ref with
   | Tier_ref -> run_reference ~entry ~args t
   | Tier_auto | Tier_lowered | Tier_compiled -> run_lowered ~entry ~args t
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot / fork drivers                                             *)
-(* ------------------------------------------------------------------ *)
-
-let snapshot_hash s = s.sn_hash
-let snapshot_cost s = Int64.of_int s.sn_cost
-let snapshot_pages s = Mem.frozen_pages s.sn_mem
-
-(** Per-member resolution of a watched baseline run. *)
-type watch_result =
-  | Wsnap of snapshot
-      (** state captured copy-on-write at the member's divergence
-          frontier; {!resume} from it *)
-  | Wshared of Outcome.run
-      (** the baseline ended (normally, by trap, or on budget) without
-          ever reaching this member's frontier, so its whole run — and
-          this outcome — is bit-identical to the member's own *)
-  | Wzero
-      (** frontier reached where a fork cannot resume (extern callback
-          nesting): run this member from zero *)
-
-(** Run the entry point watched for a whole group: bit-identical to
-    {!run}, except that on the first arrival at each member's divergence
-    frontier (its {!Lower.diff_limits} table) the VM state is captured
-    copy-on-write for that member.  The run ends early once every member
-    is resolved.  Raises {!Watch_infeasible} when watching is impossible
-    on this VM (tracing active). *)
-let run_watched ?(entry = "main") ?(args = [ "prog" ]) t limitss =
-  (* infeasible under tracing (per-event fidelity) and under a forced
-     reference tier (watch limits are lowered-block positions) *)
-  if t.trace <> None || !tier_mode_ref = Tier_ref then raise Watch_infeasible;
-  t.use_lowered <- true;
-  let members =
-    Array.map
-      (fun lims -> { wm_limits = lims; wm_snap = None; wm_unsharable = false })
-      limitss
-  in
-  let merged = Hashtbl.create 16 in
-  Array.iter (fun m -> L.merge_limits merged m.wm_limits) members;
-  let w =
-    {
-      w_members = members;
-      w_merged = merged;
-      w_active = Array.length members;
-      w_stack = [];
-      w_extern = 0;
-    }
-  in
-  let finish shared =
-    Array.map
-      (fun m ->
-        match m.wm_snap with
-        | Some sn -> Wsnap sn
-        | None -> (
-            if m.wm_unsharable then Wzero
-            else match shared with Some r -> Wshared r | None -> Wzero))
-      members
-  in
-  Domain.DLS.set wctx_key (Some w);
-  match
-    Fun.protect
-      ~finally:(fun () -> Domain.DLS.set wctx_key None)
-      (fun () ->
-        classify_run t (fun () ->
-            let lf =
-              match Hashtbl.find_opt t.lprog.L.funcs entry with
-              | Some lf -> lf
-              | None -> invalid_arg (Printf.sprintf "Prog.func: undefined %S" entry)
-            in
-            let argv_vals =
-              match Array.length lf.L.lparams with
-              | 0 -> [||]
-              | 2 ->
-                  let argc, argv = setup_argv t args in
-                  [| argc; argv |]
-              | _ ->
-                  raise (Vm_error (entry ^ ": entry point must take () or (argc, argv)"))
-            in
-            classify_exit (wexec_lfunc t w lf argv_vals)))
-  with
-  | r -> finish (Some r)
-  | exception Watch_done -> finish None
-
-(* Rebuild one activation record from its capture.  The fork's function
-   may have more registers than the baseline's (fault injection appends
-   fresh ones); the extra registers were untouched at the capture point,
-   so [make_lframe]'s poison is exactly their from-zero contents. *)
-let remake_lframe nregs (sf : snap_frame) =
-  let frame = make_lframe nregs sf.sf_entry_sp in
-  let nb = min (Bytes.length sf.sf_bits) (Bytes.length frame.bits) in
-  Bytes.blit sf.sf_bits 0 frame.bits 0 nb;
-  let nt = min (Bytes.length sf.sf_tags) (Bytes.length frame.tags) in
-  Bytes.blit sf.sf_tags 0 frame.tags 0 nt;
-  frame
-
-(* Same, through an alpha remap: baseline register [r] lands in member
-   register [rm_regs.(r)].  Unmapped member registers keep their poison
-   — at the capture point the baseline had only written registers whose
-   defs the matcher paired, so poison is exactly their from-zero
-   contents. *)
-let remake_lframe_mapped nregs (sf : snap_frame) (rm : L.remap) =
-  let frame = make_lframe nregs sf.sf_entry_sp in
-  let n = min (Array.length rm.L.rm_regs) (Bytes.length sf.sf_tags) in
-  for r = 0 to n - 1 do
-    let r2 = rm.L.rm_regs.(r) in
-    if r2 >= 0 && r2 < nregs then begin
-      Bytes.blit sf.sf_bits (r lsl 3) frame.bits (r2 lsl 3) 8;
-      Bytes.set frame.tags r2 (Bytes.get sf.sf_tags r)
-    end
-  done;
-  frame
-
-let rec resume_frames t remap frames =
-  match frames with
-  | [] -> raise (Vm_error "snapshot resume: empty frame stack")
-  | sf :: rest -> (
-      let lf =
-        match Hashtbl.find_opt t.lprog.L.funcs sf.sf_fname with
-        | Some lf -> lf
-        | None -> raise (Vm_error (Printf.sprintf "snapshot resume: no function %S" sf.sf_fname))
-      in
-      if t.call_depth >= max_call_depth then raise (Vm_error "stack overflow");
-      t.call_depth <- t.call_depth + 1;
-      let rm = remap sf.sf_fname in
-      (* captured positions sit below the divergence frontier, so their
-         blocks were paired by the matcher; an unmapped block means the
-         snapshot and the remap disagree *)
-      let bidx =
-        match rm with
-        | None -> sf.sf_bidx
-        | Some r ->
-            if
-              sf.sf_bidx < Array.length r.L.rm_blocks
-              && r.L.rm_blocks.(sf.sf_bidx) >= 0
-            then r.L.rm_blocks.(sf.sf_bidx)
-            else raise (Vm_error "snapshot resume: unmapped block")
-      in
-      let frame =
-        match rm with
-        | None -> remake_lframe lf.L.lnregs sf
-        | Some r -> remake_lframe_mapped lf.L.lnregs sf r
-      in
-      let result =
-        match rest with
-        | [] ->
-            (* innermost activation: continue at the captured position *)
-            exec_lblocks_at t lf frame bidx sf.sf_inst
-        | _ :: _ ->
-            (* an [Lcall] was in flight at the captured position: finish
-               it from the inner frames, then continue after it *)
-            let b = lf.L.lblocks.(bidx) in
-            if sf.sf_inst >= Array.length b.L.linsts then
-              raise (Vm_error "snapshot resume: frame mismatch");
-            (match b.L.linsts.(sf.sf_inst) with
-            | L.Lcall (r, callee, _, _) ->
-                let name =
-                  match callee with
-                  | L.Lfun f -> f.L.lname
-                  | L.Lextern (_, n) -> n
-                  | L.Lindirect _ -> (List.hd rest).sf_fname
-                in
-                finish_call t frame r name (resume_frames t remap rest)
-            | _ -> raise (Vm_error "snapshot resume: frame mismatch"));
-            exec_lblocks_at t lf frame bidx (sf.sf_inst + 1)
-      in
-      t.sp <- frame.lentry_sp;
-      t.call_depth <- t.call_depth - 1;
-      result)
-
-(** Fork: replace [t]'s state (a freshly created VM for the fork's
-    program, externs already registered) with the snapshot's, then run to
-    completion.  Bit-identical to running the fork's program from zero
-    with the same seed — the prefix up to the capture point executed the
-    same instruction stream (modulo [remap]'s renaming, invisible to
-    behaviour) on the same state. *)
-let resume ?(remap = fun _ -> None) t snapshot =
-  if t.trace <> None then raise Watch_infeasible;
-  t.use_lowered <- true;
-  t.mem <- Mem.thaw snapshot.sn_mem;
-  t.alloc <- Allocator.thaw t.mem snapshot.sn_alloc;
-  Rng.set_state t.rng snapshot.sn_rng;
-  t.sp <- snapshot.sn_sp;
-  t.cost := snapshot.sn_cost;
-  Buffer.clear t.out;
-  Buffer.add_string t.out snapshot.sn_out;
-  Hashtbl.reset t.fun_addr;
-  Hashtbl.reset t.addr_fun;
-  List.iter
-    (fun (name, a) ->
-      Hashtbl.replace t.fun_addr name a;
-      Hashtbl.replace t.addr_fun a name)
-    snapshot.sn_funaddr;
-  t.next_fun_addr <- snapshot.sn_next_fun_addr;
-  t.fi_first_cost <- None;
-  t.call_depth <- 0;
-  classify_run t (fun () -> classify_exit (resume_frames t remap snapshot.sn_frames))

@@ -30,8 +30,8 @@ exception Cancelled of string
 type t = {
   prog : Prog.t;
   lprog : Lower.prog;  (** pre-resolved form executed by {!run} *)
-  mutable mem : Mem.t;  (** mutable only for {!resume}: forks swap in a thawed space *)
-  mutable alloc : Allocator.t;
+  mem : Mem.t;
+  alloc : Allocator.t;
   mutable sp : int64;
   global_addr : (string, int64) Hashtbl.t;
   fun_addr : (string, int64) Hashtbl.t;
@@ -126,62 +126,3 @@ val tier_mode_of_string : string -> tier_mode option
 (** Cumulative (process-wide) compiled-tier telemetry:
     (functions promoted, deoptimizations). *)
 val tier_stats : unit -> int * int
-
-(** {1 Copy-on-write snapshots (snapshot/fork campaign execution)}
-
-    A watched baseline run executes bit-identically to {!run} until it
-    first reaches a divergence position computed by
-    {!Lower.diff_limits}, captures the whole VM state copy-on-write
-    ({!Mem.freeze} / {!Allocator.freeze}, frame and table copies), and
-    unwinds.  Forks {!resume} from the capture on their own (injected)
-    program; the result is bit-identical to running the fork from
-    zero. *)
-
-type snapshot
-
-(** Watching is impossible on this VM altogether (tracing active).
-    Callers fall back to from-zero runs. *)
-exception Watch_infeasible
-
-(** Per-member resolution of a watched baseline run. *)
-type watch_result =
-  | Wsnap of snapshot
-      (** state captured copy-on-write at the member's divergence
-          frontier; {!resume} a fork from it *)
-  | Wshared of Outcome.run
-      (** the baseline ended (normally, by trap, or on budget) without
-          reaching this member's frontier — the member's whole run is
-          bit-identical to the baseline's, so this outcome {e is} the
-          member's outcome *)
-  | Wzero
-      (** the frontier was reached where a fork cannot resume (inside an
-          extern callback): run this member from zero *)
-
-(** Run the entry point watched for a whole group: bit-identical to
-    {!run}, except that on the first arrival at each member's divergence
-    frontier (its {!Lower.diff_limits} table) the VM state is captured
-    copy-on-write for that member; the run ends early once every member
-    is resolved. *)
-val run_watched :
-  ?entry:string ->
-  ?args:string list ->
-  t ->
-  (string, int array) Hashtbl.t array ->
-  watch_result array
-
-(** Replace this (freshly created, extern-registered) VM's state with the
-    snapshot's and run to completion.  [remap] gives, per function, the
-    {!Lower.remap} translating the captured baseline frames into this
-    program's register/block numbering ([None] = identity — the default
-    for every function). *)
-val resume :
-  ?remap:(string -> Lower.remap option) -> t -> snapshot -> Outcome.run
-
-(** Deterministic content hash of the captured state (a cache-key
-    component: equal hashes imply forks resume from equal states). *)
-val snapshot_hash : snapshot -> int64
-
-(** Simulated cost already spent at the capture point. *)
-val snapshot_cost : snapshot -> int64
-
-val snapshot_pages : snapshot -> int

@@ -181,57 +181,9 @@ let prop_dsa_scope =
       let r = Dpmr_vm.Vm.run vm in
       r.Outcome.output = golden.Outcome.output)
 
-(* Snapshot/fork campaign execution: a real fault-injection grid run
-   with copy-on-write snapshot forking (the default engine path) must
-   classify every job byte-identically to running each one from zero
-   (--no-snapshot).  This drives the whole pipeline the forks depend on:
-   structural diff limits, the watched baseline, frame remapping, and
-   the cell riders that inherit the baseline outcome. *)
-let test_snapshot_vs_zero_grid () =
-  let module Experiment = Dpmr_fi.Experiment in
-  let module Inject = Dpmr_fi.Inject in
-  let module Job = Dpmr_engine.Job in
-  let module Engine = Dpmr_engine.Engine in
-  let module Workloads = Dpmr_workloads.Workloads in
-  let app = "mcf" in
-  let entry = Workloads.find app in
-  let e =
-    Experiment.make
-      (Experiment.workload app (fun () -> entry.Workloads.build ~scale:1 ()))
-  in
-  let mk = Job.make e ~workload:app ~scale:1 ~run_seed:42L in
-  let cfg = { Config.default with Config.diversity = Config.Rearrange_heap } in
-  let specs =
-    mk Experiment.Golden
-    :: mk (Experiment.Nofi_dpmr cfg)
-    :: List.concat_map
-         (fun kind ->
-           List.map
-             (fun site -> mk (Experiment.Fi_dpmr (cfg, kind, site)))
-             (Experiment.sites e kind))
-         [ Inject.Heap_array_resize 50; Inject.Immediate_free ]
-  in
-  let run snapshots =
-    let eng = Engine.create ~jobs:1 ~use_cache:false ~snapshots ~progress:false () in
-    let r = Engine.run_specs eng specs in
-    Engine.close eng;
-    r
-  in
-  let line c =
-    Job.entry_to_line { Job.key = ""; salt = ""; spec_repr = ""; snap = None; cls = c }
-  in
-  Alcotest.(check (list string))
-    "snapshot forks classify like from-zero runs"
-    (List.map line (run false))
-    (List.map line (run true))
-
 let suites =
   [
     ( "differential",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_differential; prop_temporal_policy; prop_dsa_scope ]
-      @ [
-          Alcotest.test_case "snapshot grid = from-zero grid" `Quick
-            test_snapshot_vs_zero_grid;
-        ] );
+        [ prop_differential; prop_temporal_policy; prop_dsa_scope ] );
   ]

@@ -28,7 +28,7 @@ let spec i =
     variant = Experiment.Golden;
   }
 
-let singles n = List.init n (fun i -> let s = spec i in [| (Job.hash s, s) |])
+let items n = List.init n (fun i -> let s = spec i in (Job.hash s, s))
 
 (* the "verdict" the fake remote (and fake local engine) computes: a
    pure function of the spec, so misrouted results are detectable *)
@@ -106,26 +106,23 @@ let fast_policy =
 (* degradation path: the fake "local engine" *)
 let local_count = Atomic.make 0
 
-let fake_local groups =
-  List.concat_map
-    (fun g ->
-      Array.to_list g
-      |> List.map (fun it ->
-             Atomic.incr local_count;
-             (it, Dispatch.Done (cls_of it), 0., None)))
-    groups
+let fake_local items =
+  List.map
+    (fun it ->
+      Atomic.incr local_count;
+      (it, Dispatch.Done (cls_of it), 0.))
+    items
 
-let run_fake ?(policy = fast_policy) hosts groups =
+let run_fake ?(policy = fast_policy) hosts items =
   Atomic.set local_count 0;
   let t = Dispatch.create ~policy (fake_transport hosts) ~hosts:(List.map fst hosts) in
-  let out = Dispatch.run t ~local:fake_local groups in
+  let out = Dispatch.run t ~local:fake_local items in
   (t, out)
 
-let check_all_done name groups completed =
-  let expect = List.concat_map Array.to_list groups in
+let check_all_done name expect completed =
   Alcotest.(check int) (name ^ ": result count") (List.length expect) (List.length completed);
   List.iter2
-    (fun (k, s) ((k', _), out, _, _) ->
+    (fun (k, s) ((k', _), out, _) ->
       Alcotest.(check string) (name ^ ": input order") k k';
       match out with
       | Dispatch.Done c ->
@@ -135,9 +132,9 @@ let check_all_done name groups completed =
 
 let test_happy_path () =
   let hosts = [ ("w0", fake ()); ("w1", fake ()) ] in
-  let groups = singles 12 in
-  let t, out = run_fake hosts groups in
-  check_all_done "happy" groups out;
+  let items = items 12 in
+  let t, out = run_fake hosts items in
+  check_all_done "happy" items out;
   let tot = Dispatch.totals t in
   Alcotest.(check int) "all jobs remote" 12 tot.Dispatch.t_remote_jobs;
   Alcotest.(check int) "no local fallback" 0 tot.Dispatch.t_local_jobs;
@@ -153,9 +150,9 @@ let test_failover_quarantine () =
      over to w1 and the campaign still completes in full *)
   let hosts = [ ("w0", fake ~alive:false ()); ("w1", fake ~stall:0.01 ()) ] in
   let policy = { fast_policy with Dispatch.quarantine_after = 1 } in
-  let groups = singles 10 in
-  let t, out = run_fake ~policy hosts groups in
-  check_all_done "failover" groups out;
+  let items = items 10 in
+  let t, out = run_fake ~policy hosts items in
+  check_all_done "failover" items out;
   let s0 = List.find (fun h -> h.Dispatch.hs_addr = "w0") (Dispatch.host_stats t) in
   Alcotest.(check bool) "dead host saw failures" true (s0.Dispatch.hs_failures >= 1);
   Alcotest.(check bool) "dead host quarantined" true (s0.Dispatch.hs_quarantined >= 1);
@@ -166,9 +163,9 @@ let test_transient_failure_redispatch () =
   (* w0 fails its first two batches, then recovers: re-dispatch with
      backoff must absorb the failures without quarantining forever *)
   let hosts = [ ("w0", fake ~fail_next:2 ()); ("w1", fake ()) ] in
-  let groups = singles 12 in
-  let t, out = run_fake hosts groups in
-  check_all_done "transient" groups out;
+  let items = items 12 in
+  let t, out = run_fake hosts items in
+  check_all_done "transient" items out;
   let tot = Dispatch.totals t in
   Alcotest.(check bool) "failures were re-dispatched" true (tot.Dispatch.t_requeues >= 1);
   Alcotest.(check int) "no holes" 0 tot.Dispatch.t_holes
@@ -176,9 +173,9 @@ let test_transient_failure_redispatch () =
 let test_all_dead_local_fallback () =
   let hosts = [ ("w0", fake ~alive:false ()); ("w1", fake ~alive:false ()) ] in
   let policy = { fast_policy with Dispatch.quarantine_after = 1 } in
-  let groups = singles 8 in
-  let t, out = run_fake ~policy hosts groups in
-  check_all_done "all-dead" groups out;
+  let items = items 8 in
+  let t, out = run_fake ~policy hosts items in
+  check_all_done "all-dead" items out;
   let tot = Dispatch.totals t in
   Alcotest.(check int) "nothing served remotely" 0 tot.Dispatch.t_remote_jobs;
   Alcotest.(check int) "everything fell back to local" 8 tot.Dispatch.t_local_jobs;
@@ -190,11 +187,11 @@ let test_min_workers_floor () =
      with explicit holes — never an abort, never a silent local run *)
   let hosts = [ ("w0", fake ~alive:false ()); ("w1", fake ~alive:false ()) ] in
   let policy = { fast_policy with Dispatch.quarantine_after = 1; min_workers = 1 } in
-  let groups = singles 6 in
-  let t, out = run_fake ~policy hosts groups in
+  let items = items 6 in
+  let t, out = run_fake ~policy hosts items in
   Alcotest.(check int) "every job answered" 6 (List.length out);
   List.iter
-    (fun (_, outcome, _, _) ->
+    (fun (_, outcome, _) ->
       match outcome with
       | Dispatch.Hole h ->
           Alcotest.(check string) "hole reason" "dispatch-floor" h.Dispatch.hreason
@@ -211,11 +208,11 @@ let test_remote_failed_is_hole () =
     else Dispatch.R_verdict (cls_of (k, broken))
   in
   let hosts = [ ("w0", fake ~reply ()) ] in
-  let groups = singles 6 in
-  let _, out = run_fake hosts groups in
+  let items = items 6 in
+  let _, out = run_fake hosts items in
   Alcotest.(check int) "every job answered" 6 (List.length out);
   List.iter
-    (fun ((k, _), outcome, _, _) ->
+    (fun ((k, _), outcome, _) ->
       match outcome with
       | Dispatch.Hole h when k = bkey ->
           Alcotest.(check string) "remote failure reason" "remote" h.Dispatch.hreason
@@ -231,9 +228,9 @@ let test_remote_reject_runs_locally () =
     if k = rkey then Dispatch.R_reject "unknown workload" else Dispatch.R_verdict (cls_of (k, s))
   in
   let hosts = [ ("w0", fake ~reply ()) ] in
-  let groups = singles 5 in
-  let t, out = run_fake hosts groups in
-  check_all_done "reject" groups out;
+  let items = items 5 in
+  let t, out = run_fake hosts items in
+  check_all_done "reject" items out;
   Alcotest.(check int) "rejected job ran locally" 1 (Atomic.get local_count);
   Alcotest.(check int) "rejected job billed local" 1 (Dispatch.totals t).Dispatch.t_local_jobs
 
@@ -244,42 +241,13 @@ let test_hedging_first_result_wins () =
   let policy =
     { fast_policy with Dispatch.chunk_jobs = 1; hedge_after = 0.05; window = 2 }
   in
-  let groups = singles 8 in
-  let t, out = run_fake ~policy hosts groups in
-  check_all_done "hedge" groups out;
+  let items = items 8 in
+  let t, out = run_fake ~policy hosts items in
+  check_all_done "hedge" items out;
   let tot = Dispatch.totals t in
   Alcotest.(check bool) "hedges issued" true (tot.Dispatch.t_hedges >= 1);
   Alcotest.(check bool) "a hedge won" true (tot.Dispatch.t_hedge_wins >= 1);
   Alcotest.(check int) "no holes" 0 tot.Dispatch.t_holes
-
-let test_groups_never_split () =
-  (* snapshot cells must land in one chunk so remote engines can fork
-     members from the shared baseline *)
-  let next = ref 0 in
-  let group n =
-    Array.init n (fun _ ->
-        let s = spec !next in
-        incr next;
-        (Job.hash s, s))
-  in
-  let groups = [ group 3; group 2; group 4; group 1 ] in
-  let w = fake () in
-  let policy = { fast_policy with Dispatch.chunk_jobs = 1 } in
-  let _, out = run_fake ~policy [ ("w0", w) ] groups in
-  check_all_done "groups" groups out;
-  let calls = Atomic.get w.batches in
-  List.iter
-    (fun g ->
-      let keys = Array.to_list g |> List.map fst in
-      let together =
-        List.exists
-          (fun call ->
-            let ck = Array.to_list call |> List.map fst in
-            List.for_all (fun k -> List.mem k ck) keys)
-          calls
-      in
-      Alcotest.(check bool) "group served by a single batch" true together)
-    groups
 
 (* ---- end-to-end against real in-process daemons ---- *)
 
@@ -452,7 +420,6 @@ let suites =
           test_remote_reject_runs_locally;
         Alcotest.test_case "hedging: first result wins" `Quick
           test_hedging_first_result_wins;
-        Alcotest.test_case "snapshot groups never split" `Quick test_groups_never_split;
       ] );
     ( "dispatch/e2e",
       [

@@ -43,7 +43,7 @@ let specs_fixture () =
 let check_cls = Alcotest.testable
     (fun ppf (c : Experiment.classification) ->
       Fmt.string ppf
-        (Job.entry_to_line { Job.key = ""; salt = ""; spec_repr = ""; snap = None; cls = c }))
+        (Job.entry_to_line { Job.key = ""; salt = ""; spec_repr = ""; cls = c }))
     ( = )
 
 (* ---- job model ---- *)
@@ -77,7 +77,6 @@ let test_jsonl_roundtrip () =
           Job.key = "00ff";
           salt = Job.default_salt;
           spec_repr = "w=\"quoted\";\ttab";
-          snap = Some "0123456789abcdef";
           cls = cls t2d;
         }
       in
@@ -86,7 +85,6 @@ let test_jsonl_roundtrip () =
           Alcotest.(check string) "key" e.Job.key e'.Job.key;
           Alcotest.(check string) "salt" e.Job.salt e'.Job.salt;
           Alcotest.(check string) "spec" e.Job.spec_repr e'.Job.spec_repr;
-          Alcotest.(check (option string)) "snap" e.Job.snap e'.Job.snap;
           Alcotest.check check_cls "classification" e.Job.cls e'.Job.cls
       | None -> Alcotest.fail "round-trip parse failed")
     [ Some 99L; None ];
@@ -181,7 +179,7 @@ let test_pool_map_results_per_slot () =
 (* ---- determinism guard: serial vs multi-domain ---- *)
 
 let lines_of cs =
-  List.map (fun c -> Job.entry_to_line { Job.key = ""; salt = ""; spec_repr = ""; snap = None; cls = c }) cs
+  List.map (fun c -> Job.entry_to_line { Job.key = ""; salt = ""; spec_repr = ""; cls = c }) cs
 
 let test_parallel_determinism () =
   let specs = specs_fixture () in
@@ -191,6 +189,28 @@ let test_parallel_determinism () =
   let b = Engine.run_specs parallel specs in
   Alcotest.(check (list string)) "serial and 4-domain runs byte-identical"
     (lines_of a) (lines_of b)
+
+(* every cache miss runs as its own job: a batch mixing every variant
+   class over one cell's sites, on two domains, must classify exactly
+   like serial from-zero runs, position by position *)
+let test_mixed_batch_matches_run_variant () =
+  let e = Lazy.force exp_ctx in
+  let kind = Inject.Immediate_free in
+  let cfg = Config.default in
+  let variants =
+    Experiment.Golden
+    :: Experiment.Nofi_dpmr cfg
+    :: List.concat_map
+         (fun site -> [ Experiment.Fi_stdapp (kind, site); Experiment.Fi_dpmr (cfg, kind, site) ])
+         (Experiment.sites e kind)
+  in
+  let specs = List.map (Job.make e ~workload:app ~scale:1 ~run_seed:e.Experiment.seed) variants in
+  let engine = Engine.create ~jobs:2 ~use_cache:false ~progress:false () in
+  let got = Engine.run_specs engine specs in
+  Engine.close engine;
+  Alcotest.(check (list string)) "2-domain batch = serial run_variant"
+    (lines_of (List.map (Experiment.run_variant e) variants))
+    (lines_of got)
 
 (* ---- content-addressed cache ---- *)
 
@@ -221,17 +241,11 @@ let test_cache_hits_second_run () =
 let test_cache_stale_salt_misses () =
   with_clean_dir (fun () ->
       let specs = specs_fixture () in
-      let e1 =
-        Engine.create ~jobs:1 ~cache_dir:test_dir ~salt:"code-v1" ~snapshots:false
-          ~progress:false ()
-      in
+      let e1 = Engine.create ~jobs:1 ~cache_dir:test_dir ~salt:"code-v1" ~progress:false () in
       ignore (Engine.run_specs e1 specs);
       (* same specs under a bumped code-version salt: nothing may be
          served, and loading evicts every stale line *)
-      let e2 =
-        Engine.create ~jobs:1 ~cache_dir:test_dir ~salt:"code-v2" ~snapshots:false
-          ~progress:false ()
-      in
+      let e2 = Engine.create ~jobs:1 ~cache_dir:test_dir ~salt:"code-v2" ~progress:false () in
       ignore (Engine.run_specs e2 specs);
       let s2 = Option.get (Engine.cache_stats e2) in
       Alcotest.(check int) "stale salt: zero hits" 0 s2.Cache.hits;
@@ -243,57 +257,97 @@ let test_cache_stale_salt_misses () =
 let test_cache_clear () =
   with_clean_dir (fun () ->
       let specs = specs_fixture () in
-      let e1 =
-        Engine.create ~jobs:1 ~cache_dir:test_dir ~snapshots:false ~progress:false ()
-      in
+      let e1 = Engine.create ~jobs:1 ~cache_dir:test_dir ~progress:false () in
       ignore (Engine.run_specs e1 specs);
       Alcotest.(check int) "clear reports entry count" (List.length specs)
         (Cache.clear ~dir:test_dir ());
       let d = Cache.disk_stats ~dir:test_dir ~salt:Job.default_salt () in
       Alcotest.(check int) "empty after clear" 0 d.Cache.total)
 
-(* ---- snapshot fork-key federation ---- *)
+(* ---- compatibility with caches written by snapshot/fork versions ---- *)
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+(* Earlier versions forked fault-injection runs from copy-on-write
+   snapshots and wrote, beside each forked run's record (which carried a
+   "snap" field), a sidecar record under a fork key with a "fork:" spec.
+   A directory holding such lines must still load, serve every primary
+   record, verify clean, and never count the sidecars as added. *)
 
-let test_cache_fork_sidecar () =
+let fnv1a64 str =
+  String.fold_left
+    (fun h c -> Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    0xcbf29ce484222325L str
+
+(* CRC-32 (IEEE), the cache's line frame *)
+let crc32 s =
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun c ->
+      crc := !crc lxor Char.code c;
+      for _ = 1 to 8 do
+        crc := if !crc land 1 = 1 then (!crc lsr 1) lxor 0xEDB88320 else !crc lsr 1
+      done)
+    s;
+  !crc lxor 0xFFFFFFFF
+
+let framed payload =
+  Printf.sprintf "{\"crc\":\"%08x\",%s" (crc32 payload)
+    (String.sub payload 1 (String.length payload - 1))
+
+(* a record line as the snapshot/fork versions wrote it: the "snap"
+   field sat between the spec and the classification *)
+let old_line ~key ~spec_repr ?snap cls =
+  let line = Job.entry_to_line { Job.key; salt = Job.default_salt; spec_repr; cls } in
+  match snap with
+  | None -> line
+  | Some h ->
+      let rec at i = if String.sub line i 6 = ",\"sf\":" then i + 1 else at (i + 1) in
+      let at = at 0 in
+      String.sub line 0 at ^ Printf.sprintf "\"snap\":\"%s\"," h
+      ^ String.sub line at (String.length line - at)
+
+let test_cache_loads_fork_records () =
   with_clean_dir (fun () ->
       let specs = specs_fixture () in
-      let e1 = Engine.create ~jobs:1 ~cache_dir:test_dir ~progress:false () in
-      let a = Engine.run_specs e1 specs in
-      let s1 = Option.get (Engine.cache_stats e1) in
-      (* fork-key records are sidecars: counted under [forked], never
-         inflating the primary [added] count the grid reasons about *)
-      Alcotest.(check bool) "sidecar entries recorded" true (s1.Cache.forked > 0);
-      Alcotest.(check int) "primary entries unaffected" (List.length specs)
-        s1.Cache.added;
-      Engine.close e1;
-      let raw =
-        String.concat ""
-          (List.filter_map
-             (fun p ->
-               let p = Cache.shard_file test_dir p in
-               if Sys.file_exists p then
-                 Some (In_channel.with_open_bin p In_channel.input_all)
-               else None)
-             (List.init Cache.shard_count Fun.id))
+      let e0 = Engine.create ~jobs:1 ~use_cache:false ~progress:false () in
+      let a = Engine.run_specs e0 specs in
+      Engine.close e0;
+      (try Sys.mkdir test_dir 0o755 with Sys_error _ -> ());
+      let append key line =
+        Out_channel.with_open_gen [ Open_append; Open_creat; Open_wronly ] 0o644
+          (Cache.shard_file test_dir (Cache.shard_of_key key))
+          (fun oc -> Out_channel.output_string oc (framed line ^ "\n"))
       in
-      Alcotest.(check bool) "sidecar records on disk" true (contains raw "fork:");
-      Alcotest.(check bool) "sidecars carry the snapshot hash" true
-        (contains raw "\"snap\"");
-      (* a fresh engine still serves every primary spec from cache, and
-         the snapshot-tagged lines survive a verify-grade reload *)
-      let e2 = Engine.create ~jobs:1 ~cache_dir:test_dir ~progress:false () in
-      let b = Engine.run_specs e2 specs in
-      let s2 = Option.get (Engine.cache_stats e2) in
-      Alcotest.(check int) "second run: all hits" (List.length specs) s2.Cache.hits;
-      Alcotest.(check (list string)) "results identical" (lines_of a) (lines_of b);
-      Engine.close e2;
+      let forks = ref 0 in
+      List.iteri
+        (fun i (spec, cls) ->
+          let key = Job.hash spec and repr = Job.repr spec in
+          match spec.Job.variant with
+          | Experiment.Fi_dpmr _ ->
+              let snap = Printf.sprintf "%016x" (i * 7919) in
+              let fkey =
+                Printf.sprintf "%016Lx"
+                  (fnv1a64 (Printf.sprintf "%s\x00snap=%s;%s" Job.default_salt snap repr))
+              in
+              append key (old_line ~key ~spec_repr:repr ~snap cls);
+              append fkey (old_line ~key:fkey ~spec_repr:("fork:" ^ repr) ~snap cls);
+              incr forks
+          | _ -> append key (old_line ~key ~spec_repr:repr cls))
+        (List.combine specs a);
+      Alcotest.(check bool) "the directory holds fork records" true (!forks > 0);
+      let e1 = Engine.create ~jobs:1 ~cache_dir:test_dir ~progress:false () in
+      let b = Engine.run_specs e1 specs in
+      let s1 = Option.get (Engine.cache_stats e1) in
+      Engine.close e1;
+      Alcotest.(check int) "every primary key hits" (List.length specs) s1.Cache.hits;
+      Alcotest.(check int) "no misses" 0 s1.Cache.misses;
+      Alcotest.(check (list string)) "served results identical" (lines_of a) (lines_of b);
+      Alcotest.(check int) "fork records not counted as added" 0 s1.Cache.added;
+      Alcotest.(check int) "no forked records" 0 s1.Cache.forked;
       let d = Cache.disk_stats ~dir:test_dir ~salt:Job.default_salt () in
-      Alcotest.(check int) "no damaged lines" 0 d.Cache.damaged)
+      Alcotest.(check int) "verify: no damaged lines" 0 d.Cache.damaged;
+      Alcotest.(check bool) "verify: no torn tail" false d.Cache.torn_tail;
+      Alcotest.(check int) "fork records kept as index entries"
+        (List.length specs + !forks) d.Cache.current)
 
 (* ---- crash durability: corruption recovery, flush, resume ---- *)
 
@@ -311,13 +365,9 @@ let nonempty_shards () =
 
 (** Fill the test cache through a real engine run; returns the specs and
     their results. *)
-(* snapshots off: these tests assert exact on-disk line counts, which
-   fork-key sidecar records (snapshot federation) would shift *)
 let populate () =
   let specs = specs_fixture () in
-  let e =
-    Engine.create ~jobs:1 ~cache_dir:test_dir ~snapshots:false ~progress:false ()
-  in
+  let e = Engine.create ~jobs:1 ~cache_dir:test_dir ~progress:false () in
   let rs = Engine.run_specs e specs in
   (specs, rs)
 
@@ -477,12 +527,14 @@ let suites =
           test_pool_map_results_per_slot;
         Alcotest.test_case "determinism: serial vs 4 domains" `Quick
           test_parallel_determinism;
+        Alcotest.test_case "engine: mixed batch = serial run_variant" `Quick
+          test_mixed_batch_matches_run_variant;
         Alcotest.test_case "cache: second run all hits" `Quick test_cache_hits_second_run;
         Alcotest.test_case "cache: stale code-version salt misses" `Quick
           test_cache_stale_salt_misses;
         Alcotest.test_case "cache: clear" `Quick test_cache_clear;
-        Alcotest.test_case "cache: snapshot fork-key sidecar records" `Quick
-          test_cache_fork_sidecar;
+        Alcotest.test_case "cache: loads fork records of snapshot versions" `Quick
+          test_cache_loads_fork_records;
         Alcotest.test_case "cache: torn tail dropped and repaired" `Quick
           test_cache_torn_tail;
         Alcotest.test_case "cache: garbage line dropped, records kept" `Quick

@@ -209,49 +209,6 @@ let prop_free_visible_through_cache =
       let after = Mem.read_int m p 8 in
       Int64.equal before 0x1122334455667788L && not (Int64.equal after before))
 
-(* qcheck: copy-on-write snapshot isolation (the substrate of snapshot/
-   fork campaign execution).  A frozen image is immutable: mutating a
-   fork thawed from it never leaks into the image or into a sibling
-   thawed afterwards, and the image's content hash is unchanged — the
-   parent state round-trips exactly through freeze/thaw. *)
-let prop_freeze_fork_isolated =
-  QCheck.Test.make ~name:"freeze/thaw forks are copy-on-write isolated" ~count:100
-    QCheck.(
-      list_of_size
-        Gen.(int_range 1 40)
-        (pair (int_range 0 ((8 * 4096) - 1)) (int_range 0 255)))
-    (fun writes ->
-      let m = Mem.create ~seed:5L () in
-      Mem.map_range m 0x10000L (8 * 4096) Mem.Fill_garbage;
-      List.iter
-        (fun (off, v) -> Mem.write_u8 m (Int64.add 0x10000L (Int64.of_int off)) v)
-        writes;
-      let frozen = Mem.freeze m in
-      let h0 = Mem.frozen_hash frozen in
-      let expected =
-        List.map
-          (fun (off, _) ->
-            let a = Int64.add 0x10000L (Int64.of_int off) in
-            (a, Mem.read_u8 m a))
-          writes
-      in
-      let child = Mem.thaw frozen in
-      List.iter
-        (fun (off, v) ->
-          Mem.write_u8 child (Int64.add 0x10000L (Int64.of_int off)) (v lxor 0xFF))
-        writes;
-      (* the child sees its own mutation (the test is not vacuous)... *)
-      let loff, lv = List.nth writes (List.length writes - 1) in
-      let child_sees =
-        Mem.read_u8 child (Int64.add 0x10000L (Int64.of_int loff)) = lv lxor 0xFF
-      in
-      (* ...while a parent thawed after the mutation reads the frozen
-         bytes everywhere, and the image hash never moved *)
-      let parent = Mem.thaw frozen in
-      child_sees
-      && List.for_all (fun (a, v) -> Mem.read_u8 parent a = v) expected
-      && Int64.equal h0 (Mem.frozen_hash frozen))
-
 let prop_free_then_malloc_same_class =
   QCheck.Test.make ~name:"free then same-size malloc reuses memory" ~count:50
     QCheck.(int_range 1 1024)
@@ -271,7 +228,7 @@ let suites =
         Alcotest.test_case "deterministic garbage" `Quick test_garbage_is_deterministic;
       ]
       @ List.map QCheck_alcotest.to_alcotest
-          [ prop_scalar_vs_bytes; prop_two_page_interleave; prop_freeze_fork_isolated ] );
+          [ prop_scalar_vs_bytes; prop_two_page_interleave ] );
     ( "memsim.allocator",
       [
         Alcotest.test_case "size-class rounding" `Quick test_malloc_rounds_up;

@@ -162,7 +162,7 @@ let specs_fixture () =
 
 let lines_of cs =
   List.map
-    (fun c -> Job.entry_to_line { Job.key = ""; salt = ""; spec_repr = ""; snap = None; cls = c })
+    (fun c -> Job.entry_to_line { Job.key = ""; salt = ""; spec_repr = ""; cls = c })
     cs
 
 let test_chaos_is_result_transparent () =

@@ -1,24 +1,14 @@
 (* Tiered execution: the closure-compiled top tier must be invisible.
-   Three groups of checks:
+   Two groups of checks:
 
    1. differential — real workloads produce byte-identical outcomes
       under the reference tree-walker, the lowered interpreter, and the
       forced compiled tier;
 
    2. a fault-injection grid classifies identically whether members run
-      lowered or compiled, from zero or resumed from a copy-on-write
-      snapshot — and the compiled tier actually deoptimizes when the
-      injected fault activates mid-run;
+      lowered or compiled — and the compiled tier actually deoptimizes
+      when the injected fault activates mid-run. *)
 
-   3. [Vm.resume ?remap] edges: a member whose divergence frontier sits
-      in a call block (a compiled-tier deopt point), and whose remap
-      bijection shifts registers that the compiled tier's fused
-      superinstructions then read from the translated frame. *)
-
-open Dpmr_ir
-open Types
-open Inst
-module B = Builder
 module Config = Dpmr_core.Config
 module Dpmr = Dpmr_core.Dpmr
 module Vm = Dpmr_vm.Vm
@@ -61,7 +51,7 @@ let test_three_tiers_agree () =
         (dpmr Vm.Tier_compiled))
     [ "equake"; "mcf" ]
 
-(* ---- 2. fault grid: lowered vs compiled, from zero vs resumed ------- *)
+(* ---- 2. fault grid: lowered vs compiled ----------------------------- *)
 
 let test_grid_tiers_agree () =
   let entry = Workloads.find "mcf" in
@@ -80,161 +70,21 @@ let test_grid_tiers_agree () =
   let variants =
     Array.of_list (List.map (fun s -> Experiment.Fi_dpmr (cfg, kind, s)) sites)
   in
-  let classify_all mode ~resume =
-    with_tier mode (fun () ->
-        if resume then begin
-          let g = Experiment.plan_group e variants in
-          Array.to_list (Array.mapi (fun i _ -> Experiment.run_member e g i) variants)
-        end
-        else Array.to_list (Array.map (Experiment.run_variant e) variants))
+  let classify_all mode =
+    with_tier mode (fun () -> Array.to_list (Array.map (Experiment.run_variant e) variants))
   in
-  let baseline = classify_all Vm.Tier_lowered ~resume:false in
+  let baseline = classify_all Vm.Tier_lowered in
   Alcotest.(check bool)
     "at least one injection activated" true
     (List.exists (fun c -> c.Experiment.sf) baseline);
   let _, deopts_before = Vm.tier_stats () in
   Alcotest.(check bool)
-    "compiled from-zero grid = lowered" true
-    (classify_all Vm.Tier_compiled ~resume:false = baseline);
+    "compiled grid = lowered" true
+    (classify_all Vm.Tier_compiled = baseline);
   let _, deopts_after = Vm.tier_stats () in
   Alcotest.(check bool)
     "fault activation forced compiled-tier deopts" true
-    (deopts_after > deopts_before);
-  Alcotest.(check bool)
-    "lowered resumed grid = lowered from zero" true
-    (classify_all Vm.Tier_lowered ~resume:true = baseline);
-  Alcotest.(check bool)
-    "compiled resumed grid = lowered from zero" true
-    (classify_all Vm.Tier_compiled ~resume:true = baseline)
-
-(* ---- 3. resume ?remap edges ----------------------------------------- *)
-
-(* Baseline and member share functions, globals and block structure; the
-   member does an extra boxed round-trip inside the then-branch of a
-   conditional the baseline run takes.  The alpha matcher reaches the
-   join block through the (structurally identical) else-branch, so the
-   join and the hot loop after it match modulo a shifted register
-   numbering — a genuine non-identity bijection.  The member-side
-   frontier block contains calls (box/free), so its boundary is a
-   compiled-tier deoptimization point; and the hot loop past the join
-   lowers to fused load/arith/store runs whose array-pointer and
-   accumulator operands were captured in the baseline's numbering, so
-   the resumed compiled tier reads them through the remap. *)
-let build_remap_prog ~extra () =
-  let p = Prog.create () in
-  Dpmr_vm.Extern.declare_signatures p;
-  let b = B.create p ~name:"box" ~params:[ ("v", i64) ] ~ret:(Ptr i64) () in
-  let cell = B.malloc b i64 in
-  B.store b i64 (B.param b 0) cell;
-  B.ret b (Some cell);
-  let b = B.create p ~name:"main" ~params:[] ~ret:i32 () in
-  let arr = B.malloc b ~name:"arr" ~count:(B.i64c 64) i64 in
-  B.for_ b ~from:(B.i64c 0) ~below:(B.i64c 64) (fun i ->
-      B.store b i64 (B.mul b W64 i (B.i64c 7)) (B.gep_index b arr i));
-  let acc = B.local b ~name:"acc" i64 (B.i64c 0) in
-  let flag = B.load b i64 (B.gep_index b arr (B.i64c 1)) in
-  B.if_else b
-    (B.icmp b Isgt W64 flag (B.i64c 0))
-    (fun () ->
-      (* the baseline run takes this branch (arr[1] = 7 > 0) *)
-      let c = B.call1 b (Direct "box") [ B.i64c 9 ] in
-      let v = B.load b i64 c in
-      B.free b c;
-      if extra then begin
-        let c2 = B.call1 b (Direct "box") [ B.i64c 5 ] in
-        let w = B.load b i64 c2 in
-        B.free b c2;
-        B.set b i64 acc (B.add b W64 v w)
-      end
-      else B.set b i64 acc v)
-    (fun () -> B.set b i64 acc (B.i64c 1));
-  B.for_ b ~from:(B.i64c 0) ~below:(B.i64c 64) (fun i ->
-      let v = B.load b i64 (B.gep_index b arr i) in
-      let m = B.mul b W64 (B.get b i64 acc) (B.i64c 31) in
-      B.set b i64 acc (B.add b W64 m v));
-  B.call0 b (Direct "print_int") [ B.get b i64 acc ];
-  B.ret b (Some (B.i32c 0));
-  p
-
-let test_resume_remap_compiled () =
-  let base = build_remap_prog ~extra:false () in
-  let memb = build_remap_prog ~extra:true () in
-  Verifier.check_prog base;
-  Verifier.check_prog memb;
-  let lbase = Lower.lower_prog base and lmemb = Lower.lower_prog memb in
-  let diffs =
-    match Lower.diff_limits lbase lmemb with
-    | Some d -> d
-    | None -> Alcotest.fail "expected a common structural prefix"
-  in
-  let fd =
-    match Hashtbl.find_opt diffs "main" with
-    | Some fd -> fd
-    | None -> Alcotest.fail "expected main to diverge"
-  in
-  let rm =
-    match fd.Lower.fd_remap with
-    | Some rm -> rm
-    | None -> Alcotest.fail "expected a non-identity register bijection"
-  in
-  Alcotest.(check bool)
-    "the bijection actually shifts registers" true
-    (Array.exists (fun i -> i >= 0) rm.Lower.rm_regs
-    && Array.to_list rm.Lower.rm_regs
-       |> List.mapi (fun i j -> (i, j))
-       |> List.exists (fun (i, j) -> j >= 0 && i <> j));
-  (* the member-side frontier block contains calls: its boundary is a
-     compiled-tier deoptimization point *)
-  let frontier_is_call_block =
-    let lf = Hashtbl.find lmemb.Lower.funcs "main" in
-    let limits = fd.Lower.fd_limits in
-    let rec first i =
-      if i >= Array.length limits then None
-      else if limits.(i) < max_int then Some i
-      else first (i + 1)
-    in
-    match first 0 with
-    | None -> false
-    | Some bidx ->
-        let midx =
-          match fd.Lower.fd_remap with
-          | Some rm when bidx < Array.length rm.Lower.rm_blocks
-            && rm.Lower.rm_blocks.(bidx) >= 0 ->
-              rm.Lower.rm_blocks.(bidx)
-          | _ -> bidx
-        in
-        lf.Lower.lblocks.(midx).Lower.lflags land Lower.b_call <> 0
-  in
-  Alcotest.(check bool)
-    "frontier block is a deopt point (call block)" true frontier_is_call_block;
-  let remap fname =
-    match Hashtbl.find_opt diffs fname with
-    | Some fd -> fd.Lower.fd_remap
-    | None -> None
-  in
-  let from_zero =
-    with_tier Vm.Tier_lowered (fun () ->
-        run_fp (Dpmr.run_plain ~lowered:lmemb memb))
-  in
-  let resumed mode =
-    with_tier mode (fun () ->
-        let limitss = [| Lower.limit_table diffs |] in
-        match Dpmr.watched_plain ~lowered:lbase base limitss with
-        | [| Vm.Wsnap snap |] ->
-            run_fp (Dpmr.resume_plain ~lowered:lmemb ~remap memb snap)
-        | _ -> Alcotest.fail "expected the baseline to reach the frontier")
-  in
-  Alcotest.(check string)
-    "lowered resume through the remap = from zero" from_zero
-    (resumed Vm.Tier_lowered);
-  let promos_before, _ = Vm.tier_stats () in
-  Alcotest.(check string)
-    "compiled resume through the remap = from zero" from_zero
-    (resumed Vm.Tier_compiled);
-  let promos_after, _ = Vm.tier_stats () in
-  Alcotest.(check bool)
-    "the resumed member actually ran compiled" true
-    (promos_after > promos_before)
+    (deopts_after > deopts_before)
 
 let suites =
   [
@@ -242,9 +92,7 @@ let suites =
       [
         Alcotest.test_case "three tiers agree on workloads" `Quick
           test_three_tiers_agree;
-        Alcotest.test_case "fault grid agrees across tiers and plans" `Quick
+        Alcotest.test_case "fault grid agrees across tiers" `Quick
           test_grid_tiers_agree;
-        Alcotest.test_case "resume ?remap feeds the compiled tier" `Quick
-          test_resume_remap_compiled;
       ] );
   ]
