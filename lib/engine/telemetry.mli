@@ -40,7 +40,8 @@ val summary_lines :
   workers:int ->
   cache:Cache.stats option ->
   string list
-(** [tier] = (functions promoted, deopts) from [Vm.tier_stats].
+(** [tier] = (functions promoted, deopts) from [Vm.tier_stats]; the
+    deopt count is always 0 and stays because perfbench reads it.
     Passed in by the engine at summary time to keep this module free of
     VM dependencies; a tier line appears only when either counter is
     non-zero, preserving historical summary shapes.

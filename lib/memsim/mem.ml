@@ -88,18 +88,44 @@ let[@inline] get_page t addr =
   else if idx >= s_idx0 then tbl_get t.s_tbl (idx - s_idx0) addr
   else tbl_get t.g_tbl idx addr
 
+(* Unchecked little-endian scalar accessors.  The stdlib's checked
+   [Bytes.get_int64_le] is an ordinary function, so every call boxes its
+   [int64]; these compile to single load/store instructions and keep the
+   value unboxed end-to-end in the interpreter's load/store path.  Bounds
+   hold by construction: callers only use them under the
+   [off + len <= page_size] guard, or at the aligned offsets of a fresh
+   page, and every page is [page_size] bytes. *)
+external unsafe_get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external unsafe_get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external unsafe_set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external unsafe_set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] get16_le b i = if Sys.big_endian then bswap16 (unsafe_get16 b i) else unsafe_get16 b i
+let[@inline] get32_le b i = if Sys.big_endian then bswap32 (unsafe_get32 b i) else unsafe_get32 b i
+let[@inline] get64_le b i = if Sys.big_endian then bswap64 (unsafe_get64 b i) else unsafe_get64 b i
+let[@inline] set16_le b i v = unsafe_set16 b i (if Sys.big_endian then bswap16 v else v)
+let[@inline] set32_le b i v = unsafe_set32 b i (if Sys.big_endian then bswap32 v else v)
+let[@inline] set64_le b i v = unsafe_set64 b i (if Sys.big_endian then bswap64 v else v)
+
 (* ------------------------------------------------------------------ *)
 (* Mapping                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* [Rng.hash2] inlines to a pure [int64] expression and [set64_le] to a
+   single store, so filling a page allocates nothing but the page *)
 let new_page t idx fill =
   let page = Bytes.create page_size in
   (match fill with
   | Fill_zero -> Bytes.fill page 0 page_size '\000'
   | Fill_garbage ->
+      let seed = Int64.to_int t.seed in
       for i = 0 to (page_size / 8) - 1 do
-        let v = Rng.hash2 idx (i + Int64.to_int t.seed) in
-        Bytes.set_int64_le page (i * 8) v
+        set64_le page (i * 8) (Rng.hash2 idx (i + seed))
       done);
   page
 
@@ -173,29 +199,6 @@ let rec write_bytes t addr b pos len =
     Bytes.blit b pos (get_page t addr) off first;
     write_bytes t (Int64.add addr (Int64.of_int first)) b (pos + first) (len - first)
   end
-
-(* Unchecked little-endian scalar accessors.  The stdlib's checked
-   [Bytes.get_int64_le] is an ordinary function, so every call boxes its
-   [int64]; these compile to single load/store instructions and keep the
-   value unboxed end-to-end in the interpreter's load/store path.  Bounds
-   hold by construction: callers only use them under the
-   [off + len <= page_size] guard, and every page is [page_size] bytes. *)
-external unsafe_get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
-external unsafe_get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external unsafe_set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
-external unsafe_set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
-external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-external bswap16 : int -> int = "%bswap16"
-external bswap32 : int32 -> int32 = "%bswap_int32"
-external bswap64 : int64 -> int64 = "%bswap_int64"
-
-let[@inline] get16_le b i = if Sys.big_endian then bswap16 (unsafe_get16 b i) else unsafe_get16 b i
-let[@inline] get32_le b i = if Sys.big_endian then bswap32 (unsafe_get32 b i) else unsafe_get32 b i
-let[@inline] get64_le b i = if Sys.big_endian then bswap64 (unsafe_get64 b i) else unsafe_get64 b i
-let[@inline] set16_le b i v = unsafe_set16 b i (if Sys.big_endian then bswap16 v else v)
-let[@inline] set32_le b i v = unsafe_set32 b i (if Sys.big_endian then bswap32 v else v)
-let[@inline] set64_le b i v = unsafe_set64 b i (if Sys.big_endian then bswap64 v else v)
 
 (* Straddling access: byte-at-a-time.  Top-level (not a local function of
    [read_int]) because a local closure makes the enclosing function

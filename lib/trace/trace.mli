@@ -64,10 +64,10 @@ val emit_detect : t -> cost:int -> what:string -> addr:int64 -> off:int -> unit
 val emit_fi_mark : t -> cost:int -> unit
 val emit_phase : t -> label:string -> unit
 
-(** Tier-transition outcome at a hot-function boundary: the promotion
-    check refused compilation (full-fidelity run), the function was
-    promoted to the compiled tier, or compiled code deoptimized back
-    into the lowered interpreter. *)
+(** Tier-transition outcome at a hot-function boundary.  The VM emits
+    only [Tier_refused]: a run with a sink is never promoted, so a
+    traced run records the refusal and nothing else.  [Tier_promote] and
+    [Tier_deopt] keep their wire codes so older traces still decode. *)
 type transition = Tier_refused | Tier_promote | Tier_deopt
 
 val emit_tier : t -> cost:int -> fname:string -> transition:transition -> unit

@@ -92,8 +92,6 @@ type lfunc = {
 and lblock = {
   linsts : linst array;
   lterm : lterm;
-  mutable lflags : int;
-      (** static block facts for the compiled tier, see {!b_call} *)
 }
 
 and lterm =
@@ -258,24 +256,6 @@ let lower_term (f : Func.t) : Inst.term -> lterm = function
   | Ret o -> Lret (Option.map lower_operand o)
   | Unreachable -> Lunreachable (f.Func.name ^ ": executed unreachable")
 
-(* Block flags: deopt-relevant static facts the compiled tier consults.
-   [b_call] marks blocks whose boundary is a deoptimization point (a
-   call inside may activate fault injection); [b_check] marks blocks
-   ending in a replica load-check, whose compare events make them
-   fidelity-relevant under a trace sink. *)
-let b_call = 1
-let b_check = 2
-
-let block_flags (b : lblock) =
-  let f = ref 0 in
-  Array.iter
-    (function Lcall _ -> f := !f lor b_call | _ -> ())
-    b.linsts;
-  (match b.lterm with
-  | Lcheck _ | Lcmpcheck _ -> f := !f lor b_check
-  | _ -> ());
-  !f
-
 let shell (f : Func.t) =
   {
     lname = f.Func.name;
@@ -335,13 +315,11 @@ let fuse_terms lf =
               {
                 linsts = Array.sub b.linsts 0 (n - 1);
                 lterm = Lcmpbr (r, c, w, x, y, t1, t2);
-                lflags = 0;
               }
           | Licmp (r, c, w, x, y), Lcheck (Lreg r', t1, t2, d1, d2) when r' = r ->
               {
                 linsts = Array.sub b.linsts 0 (n - 1);
                 lterm = Lcmpcheck (r, c, w, x, y, t1, t2, d1, d2);
-                lflags = 0;
               }
           | _ -> b)
       lf.lblocks
@@ -377,14 +355,10 @@ let fill_body lp p (f : Func.t) lf =
         {
           linsts = fuse_insts (Array.of_list (List.map (lower_inst lp p f) b.Func.insts));
           lterm = lower_term f b.Func.term;
-          lflags = 0;
         })
       (Func.block_array f);
   mark_checks lf;
-  fuse_terms lf;
-  (* flags last: both fusions above reshape instruction arrays and
-     terminators *)
-  Array.iter (fun b -> b.lflags <- block_flags b) lf.lblocks
+  fuse_terms lf
 
 (* Two phases so mutually recursive call knots resolve: every function
    gets a shell first, then bodies are filled in place — [Lfun] callees

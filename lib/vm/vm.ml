@@ -346,7 +346,7 @@ external reg_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* the frame type is {!Machine}'s, so the compiled tier executes the
    very same record the lowered engine allocated — promotion shares the
-   register file, deoptimization needs no state copy at all *)
+   register file with no state copy at all *)
 type lframe = Machine.lframe = {
   bits : Bytes.t;
   tags : Bytes.t;
@@ -367,7 +367,7 @@ let make_lframe nregs sp =
    knot below ({!Compile} needs the knot's call helpers, the knot needs
    this to promote).  Never read before the initializer at the bottom of
    this file runs. *)
-let tier_enter : (t -> L.lfunc -> lframe -> int -> Compile.result) ref =
+let tier_enter : (t -> L.lfunc -> lframe -> int -> value option) ref =
   ref (fun _ _ _ _ -> assert false)
 
 let[@inline] reg_int fr r =
@@ -495,33 +495,25 @@ and exec_lfunc t (lf : L.lfunc) (args : value array) =
    function has executed [!tier_threshold] lowered blocks it enters the
    compiled tier — at call granularity for short hot functions, and
    mid-run (on-stack replacement: same frame, same block index) for a
-   long-running loop that never returns.  Promotion is refused while
-   full fidelity is required: a trace sink needs per-block samples and
-   per-check compare events, and an activated fault injection must keep
-   the block-by-block shape the forensics suite reasons about.  The
-   compiled tier deoptimizes back here (a [Rdeopt] with the next block
-   index) when fidelity demands appear mid-run. *)
+   long-running loop that never returns.  Promotion is refused only
+   under a trace sink, which needs per-block samples and per-check
+   compare events; an entered compiled tier runs the function to its
+   return, activated fault injection included. *)
 and exec_lblocks t (lf : L.lfunc) frame =
   let blocks = lf.L.lblocks in
   let rec go idx =
     let h = lf.L.lhot + 1 in
     lf.L.lhot <- h;
     if h >= !tier_threshold then
-      if t.trace == None && t.fi_first_cost == None then
-        match !tier_enter t lf frame idx with
-        | Compile.Rret v -> v
-        | Compile.Rdeopt b -> exec_block b
-      else begin
-        (* the only tier transition observable under a sink: record
-           the refusal once, at the exact threshold crossing *)
-        (if h = !tier_threshold then
-           match t.trace with
-           | Some s ->
-               Trace.emit_tier s ~cost:(!(t.cost)) ~fname:lf.L.lname
-                 ~transition:Trace.Tier_refused
-           | None -> ());
-        exec_block idx
-      end
+      match t.trace with
+      | None -> !tier_enter t lf frame idx
+      | Some s ->
+          (* the only tier transition observable under a sink: record
+             the refusal once, at the exact threshold crossing *)
+          if h = !tier_threshold then
+            Trace.emit_tier s ~cost:(!(t.cost)) ~fname:lf.L.lname
+              ~transition:Trace.Tier_refused;
+          exec_block idx
     else exec_block idx
   and exec_block idx =
     let (b : L.lblock) = blocks.(idx) in
@@ -1026,9 +1018,6 @@ module Tier_rt = struct
   let global_address = global_address
   let fun_address = fun_address
 
-  let fault_active t =
-    match t.fi_first_cost with None -> false | Some _ -> true
-
   let call_lfun t lf args = exec_lfunc t lf args
 
   (* the [Lextern] slot protocol of [exec_linst]: slot cache, extern
@@ -1061,9 +1050,8 @@ module Tier = Compile.Make (Tier_rt)
 
 let () = tier_enter := Tier.enter
 
-(** Cumulative (process-wide) compiled-tier telemetry:
-    (functions promoted, deoptimizations). *)
-let tier_stats () = (Compile.n_promotions (), Compile.n_deopts ())
+(* the constant second field keeps the telemetry schema's deopt count *)
+let tier_stats () = (Compile.n_promotions (), 0)
 
 (* ------------------------------------------------------------------ *)
 (* Top-level driver                                                    *)

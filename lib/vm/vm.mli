@@ -104,10 +104,9 @@ val run_reference : ?entry:string -> ?args:string list -> t -> Outcome.run
     lowered threaded interpreter, and a closure-compiled top tier
     ({!Compile}) that hot functions are promoted into after
     {!Cost.tier_promote_blocks} executed lowered blocks.  Promotion is
-    refused while full per-event fidelity is required (trace sink
-    installed, fault injection activated), and compiled code
-    deoptimizes back into the lowered engine — same frame, at a block
-    boundary — when fidelity demands appear mid-run. *)
+    refused only while a trace sink is installed (the sink observes
+    every block and check); without one, compiled code runs every
+    function it enters to its return, through fault activation. *)
 
 type tier_mode =
   | Tier_auto  (** telemetry-driven promotion (the default) *)
@@ -124,5 +123,7 @@ val tier_mode : unit -> tier_mode
 val tier_mode_of_string : string -> tier_mode option
 
 (** Cumulative (process-wide) compiled-tier telemetry:
-    (functions promoted, deoptimizations). *)
+    (functions promoted, deoptimizations).  Compiled code never
+    deoptimizes, so the second field is always 0; it is kept only for
+    the telemetry schema that reports it. *)
 val tier_stats : unit -> int * int

@@ -39,6 +39,24 @@ let test_garbage_is_deterministic () =
   Alcotest.(check bool) "different seed, different garbage" true
     (not (Int64.equal (Mem.read_int m1 0x50000L 8) (Mem.read_int m3 0x50000L 8)))
 
+(* Garbage bytes are part of every run's behaviour (uninitialized reads
+   feed detections and crashes), so their exact contents are pinned: any
+   rewrite of the page fill must reproduce these digests. *)
+let test_garbage_bytes_pinned () =
+  List.iter
+    (fun (seed, addr, md5) ->
+      let m = Mem.create ~seed () in
+      Mem.map_range m addr Mem.page_size Mem.Fill_garbage;
+      Alcotest.(check string)
+        (Printf.sprintf "seed %Ld page 0x%Lx" seed addr)
+        md5
+        (Digest.to_hex (Digest.bytes (Mem.read_bytes m addr Mem.page_size))))
+    [
+      (1L, 0x10000L, "e995cb7ebbf4d451b6d6e0189f01b2da");
+      (42L, 0x4000_0000L, "489fa7dc3732da026ad06716562e48d1");
+      (7L, 0x8000_3000L, "e674bd8e89665458babac7c703d7afb6");
+    ]
+
 (* ---- allocator ---- *)
 
 let mk_alloc () =
@@ -226,6 +244,7 @@ let suites =
         Alcotest.test_case "unmapped access faults" `Quick test_unmapped_faults;
         Alcotest.test_case "page-straddling access" `Quick test_straddling_access;
         Alcotest.test_case "deterministic garbage" `Quick test_garbage_is_deterministic;
+        Alcotest.test_case "garbage bytes pinned" `Quick test_garbage_bytes_pinned;
       ]
       @ List.map QCheck_alcotest.to_alcotest
           [ prop_scalar_vs_bytes; prop_two_page_interleave ] );
