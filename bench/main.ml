@@ -171,20 +171,6 @@ let timed_command cmd =
     exit 1);
   wall
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let run_compare ~rounds ~json cmd_a cmd_b =
   let ta = Array.make rounds 0. and tb = Array.make rounds 0. in
   (* one untimed warmup pair so cold caches (file system, result cache
@@ -214,8 +200,8 @@ let run_compare ~rounds ~json cmd_a cmd_b =
       in
       add "{\n";
       add "  \"schema\": \"dpmr-bench-compare/1\",\n";
-      add "  \"cmd_before\": \"%s\",\n" (json_escape cmd_a);
-      add "  \"cmd_after\": \"%s\",\n" (json_escape cmd_b);
+      add "  \"cmd_before\": \"%s\",\n" (Dpmr_trace.Export.escaped cmd_a);
+      add "  \"cmd_after\": \"%s\",\n" (Dpmr_trace.Export.escaped cmd_b);
       add "  \"rounds\": %d,\n" rounds;
       add "  \"before_seconds\": [%s],\n" (floats ta);
       add "  \"after_seconds\": [%s],\n" (floats tb);

@@ -51,51 +51,55 @@ let scale_t =
 let seed_t =
   Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic seed.")
 
+(* A converter over one canonical atom of [Config]/[Inject]: it prints
+   what it parses, so --help defaults and cache-key / wire spellings are
+   accepted.  [alias] rewrites the CLI's shorthand spellings to atoms
+   first, so the shared parser does every range check. *)
+let atom_conv ?(alias = Fun.id) parse print =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (parse (alias s))),
+      fun ppf v -> Fmt.string ppf (print v) )
+
 let mode_t =
-  let mode_conv = Arg.enum [ ("sds", Config.Sds); ("mds", Config.Mds) ] in
-  Arg.(value & opt mode_conv Config.Sds & info [ "mode" ] ~doc:"Replication design: sds or mds.")
+  Arg.(
+    value
+    & opt (atom_conv Config.mode_of_name Config.mode_name) Config.Sds
+    & info [ "mode" ] ~doc:"Replication design: sds or mds.")
 
 let diversity_t =
-  let parse s =
-    match s with
-    | "none" | "no-diversity" -> Ok Config.No_diversity
-    | "zero-before-free" -> Ok Config.Zero_before_free
-    | "rearrange-heap" -> Ok Config.Rearrange_heap
-    | _ when String.length s > 10 && String.sub s 0 10 = "pad-stack-" -> (
-        match int_of_string_opt (String.sub s 10 (String.length s - 10)) with
-        | Some n -> Ok (Config.Pad_alloca n)
-        | None -> Error (`Msg "bad stack pad size"))
-    | _ when String.length s > 4 && String.sub s 0 4 = "pad-" -> (
-        match int_of_string_opt (String.sub s 4 (String.length s - 4)) with
-        | Some n -> Ok (Config.Pad_malloc n)
-        | None -> Error (`Msg "bad pad size"))
-    | _ -> Error (`Msg ("unknown diversity " ^ s))
+  let alias s =
+    match
+      (Scanf.sscanf_opt s "pad-stack-%d%!" Fun.id, Scanf.sscanf_opt s "pad-%d%!" Fun.id)
+    with
+    | Some n, _ -> Printf.sprintf "pad-alloca-%d" n
+    | None, Some n -> Printf.sprintf "pad-malloc-%d" n
+    | None, None -> s
   in
-  let print ppf d = Fmt.string ppf (Config.diversity_name d) in
   Arg.(
     value
-    & opt (conv (parse, print)) Config.No_diversity
-    & info [ "diversity" ] ~doc:"none | zero-before-free | rearrange-heap | pad-<bytes> | pad-stack-<bytes>.")
+    & opt (atom_conv ~alias Config.diversity_of_name Config.diversity_name) Config.No_diversity
+    & info [ "diversity" ]
+        ~doc:"none | zero-before-free | rearrange-heap | pad-<bytes> | pad-stack-<bytes> \
+              (also the canonical pad-malloc-<bytes> | pad-alloca-<bytes>).")
 
 let policy_t =
-  let parse s =
+  let alias s =
+    let temporal m = Config.policy_atom (Config.Temporal m) in
     match s with
-    | "all-loads" -> Ok Config.All_loads
-    | "temporal-1/8" -> Ok (Config.Temporal Config.temporal_mask_1_8)
-    | "temporal-1/2" -> Ok (Config.Temporal Config.temporal_mask_1_2)
-    | "temporal-7/8" -> Ok (Config.Temporal Config.temporal_mask_7_8)
-    | _ when String.length s > 7 && String.sub s 0 7 = "static-" -> (
-        match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
-        | Some n -> Ok (Config.Static (float_of_int n /. 100.))
-        | None -> Error (`Msg "bad static percentage"))
-    | _ -> Error (`Msg ("unknown policy " ^ s))
+    | "temporal-1/8" -> temporal Config.temporal_mask_1_8
+    | "temporal-1/2" -> temporal Config.temporal_mask_1_2
+    | "temporal-7/8" -> temporal Config.temporal_mask_7_8
+    | _ -> (
+        match Scanf.sscanf_opt s "static-%d%!" Fun.id with
+        | Some pct -> Config.policy_atom (Config.Static (float_of_int pct /. 100.))
+        | None -> s)
   in
-  let print ppf p = Fmt.string ppf (Config.policy_name p) in
   Arg.(
     value
-    & opt (conv (parse, print)) Config.All_loads
+    & opt (atom_conv ~alias Config.policy_of_atom Config.policy_atom) Config.All_loads
     & info [ "policy" ]
-        ~doc:"all-loads | temporal-1/8 | temporal-1/2 | temporal-7/8 | static-<pct>.")
+        ~doc:"all-loads | temporal-1/8 | temporal-1/2 | temporal-7/8 | static-<pct> \
+              (also the canonical temporal-<hex mask> | static-<hex float>).")
 
 let plain_t =
   Arg.(value & flag & info [ "plain" ] ~doc:"Run without the DPMR transformation.")
@@ -105,15 +109,17 @@ let plain_t =
 let replicas_t =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "replica count must be >= 1 (got %d)" n))
-    | None -> Error (`Msg (Printf.sprintf "replica count must be an integer (got %S)" s))
+    | Some n -> Config.check_replicas n
+    | None -> Error (Printf.sprintf "replica count must be an integer (got %S)" s)
   in
   Arg.(
     value
-    & opt (conv (parse, Fmt.int)) 1
+    & opt (atom_conv parse string_of_int) 1
     & info [ "replicas" ] ~docv:"N"
-        ~doc:"Number of diverse replicas (N-version replication; 1 = the paper's design).")
+        ~doc:
+          (Printf.sprintf
+             "Number of diverse replicas, 1..%d (N-version replication; 1 = the paper's design)."
+             Config.max_replicas))
 
 let families_t =
   let parse s =
@@ -142,9 +148,14 @@ let families_t =
 let vote_t =
   Arg.(
     value
-    & opt (enum [ ("any-mismatch", Config.Any_mismatch); ("majority", Config.Majority) ])
-        Config.Any_mismatch
+    & opt (atom_conv Config.vote_of_name Config.vote_name) Config.Any_mismatch
     & info [ "vote" ] ~doc:"Per-site voting rule across replicas: any-mismatch | majority.")
+
+let kind_t =
+  Arg.(
+    value
+    & opt (atom_conv Inject.kind_of_atom Inject.kind_atom) (Inject.Heap_array_resize 50)
+    & info [ "kind" ] ~doc:"resize | free | off-by-one | wild-store-<bytes> (resize = resize-50).")
 
 (** Configs built by commands that do not expose the N-version axes keep
     the single-replica defaults. *)
@@ -216,12 +227,6 @@ let sites_cmd =
 
 let inject_cmd =
   let site_t = Arg.(value & opt int 0 & info [ "site" ] ~docv:"N" ~doc:"Site index.") in
-  let kind_t =
-    let kind_conv =
-      Arg.enum [ ("resize", Inject.Heap_array_resize 50); ("free", Inject.Immediate_free) ]
-    in
-    Arg.(value & opt kind_conv (Inject.Heap_array_resize 50) & info [ "kind" ] ~doc:"resize | free.")
-  in
   let go name scale seed mode diversity policy plain kind site_idx =
     let wk = Experiment.workload name (fun () -> build_workload name scale) in
     let e = Experiment.make ~seed wk in
@@ -310,12 +315,6 @@ let dsa_cmd =
     Term.(const go $ workload_t $ scale_t $ dump_t)
 
 let recover_cmd =
-  let kind_t =
-    let kind_conv =
-      Arg.enum [ ("resize", Inject.Heap_array_resize 50); ("free", Inject.Immediate_free) ]
-    in
-    Arg.(value & opt kind_conv (Inject.Heap_array_resize 50) & info [ "kind" ] ~doc:"resize | free.")
-  in
   let site_t = Arg.(value & opt int 0 & info [ "site" ] ~docv:"N" ~doc:"Site index.") in
   let go name scale seed mode diversity policy kind site_idx families =
     let wk = Experiment.workload name (fun () -> build_workload name scale) in
@@ -676,12 +675,6 @@ let trace_cmd =
           ~doc:
             "Inject a $(b,--kind) fault at site $(docv) before running, and \
              run the forensics pass on the recorded trace.")
-  in
-  let kind_t =
-    let kind_conv =
-      Arg.enum [ ("resize", Inject.Heap_array_resize 50); ("free", Inject.Immediate_free) ]
-    in
-    Arg.(value & opt kind_conv (Inject.Heap_array_resize 50) & info [ "kind" ] ~doc:"resize | free.")
   in
   let print_summary_and_profile records summary top =
     Printf.printf "events  : %d recorded (%d dropped), %d comparison(s), %d detection(s)\n"

@@ -65,7 +65,24 @@ let temporal_mask_1_8 = 0x8080808080808080L
 let temporal_mask_1_2 = 0xAAAAAAAAAAAAAAAAL
 let temporal_mask_7_8 = 0xFEFEFEFEFEFEFEFEL
 
+(* ---------------- canonical atoms ----------------
+
+   Every textual form of a configuration axis — cache key, wire frame,
+   CLI value, figure label — is built from these printers and read back
+   by their parsers, which are also where out-of-range values are
+   refused. *)
+
+(* Far above any figure (N <= 3) yet small enough that the N-replica
+   transform stays cheap: an unbounded count grows the transformed
+   program without limit before any budget applies. *)
+let max_replicas = 64
+
 let mode_name = function Sds -> "sds" | Mds -> "mds"
+
+let mode_of_name = function
+  | "sds" -> Ok Sds
+  | "mds" -> Ok Mds
+  | s -> Error (Printf.sprintf "unknown mode %S (want sds | mds)" s)
 
 let diversity_name = function
   | No_diversity -> "no-diversity"
@@ -74,6 +91,39 @@ let diversity_name = function
   | Rearrange_heap -> "rearrange-heap"
   | Pad_alloca n -> Printf.sprintf "pad-alloca-%d" n
 
+let diversity_of_name s =
+  let pad fmt = Scanf.sscanf_opt s fmt Fun.id in
+  let sized mk n =
+    if n >= 0 then Ok (mk n)
+    else Error (Printf.sprintf "pad size must be >= 0 bytes (got %d)" n)
+  in
+  match (s, pad "pad-malloc-%d%!", pad "pad-alloca-%d%!") with
+  | ("no-diversity" | "none"), _, _ -> Ok No_diversity
+  | "zero-before-free", _, _ -> Ok Zero_before_free
+  | "rearrange-heap", _, _ -> Ok Rearrange_heap
+  | _, Some n, _ -> sized (fun n -> Pad_malloc n) n
+  | _, _, Some n -> sized (fun n -> Pad_alloca n) n
+  | _ -> Error (Printf.sprintf "unknown diversity %S" s)
+
+(* full fidelity: the exact 64-bit mask and the exact float *)
+let policy_atom = function
+  | All_loads -> "all-loads"
+  | Temporal m -> Printf.sprintf "temporal-%Lx" m
+  | Static f -> Printf.sprintf "static-%h" f
+
+let policy_of_atom s =
+  let arg fmt = Scanf.sscanf_opt s fmt Fun.id in
+  match (s, arg "temporal-%Lx%!", arg "static-%s%!") with
+  | "all-loads", _, _ -> Ok All_loads
+  | _, Some m, _ -> Ok (Temporal m)
+  | _, _, Some p -> (
+      match float_of_string_opt p with
+      | Some f when f >= 0. && f <= 1. -> Ok (Static f)
+      | Some f -> Error (Printf.sprintf "static probability must be in [0,1] (got %g)" f)
+      | None -> Error (Printf.sprintf "bad static probability %S" p))
+  | _ -> Error (Printf.sprintf "unknown policy %S" s)
+
+(* display label: rounds [Static] and counts [Temporal] mask bits *)
 let policy_name = function
   | All_loads -> "all-loads"
   | Temporal m ->
@@ -86,14 +136,29 @@ let policy_name = function
 
 let vote_name = function Any_mismatch -> "any-mismatch" | Majority -> "majority"
 
+let vote_of_name = function
+  | "any-mismatch" -> Ok Any_mismatch
+  | "majority" -> Ok Majority
+  | s -> Error (Printf.sprintf "unknown vote %S (want any-mismatch | majority)" s)
+
+let families_atom fs = String.concat "+" fs
+let families_of_atom s = String.split_on_char '+' s |> List.filter (fun f -> f <> "")
+
+let check_replicas n =
+  if n >= 1 && n <= max_replicas then Ok n
+  else Error (Printf.sprintf "replica count must be in 1..%d (got %d)" max_replicas n)
+
+let nversion_default c =
+  c.replicas = default.replicas && c.families = default.families && c.vote = default.vote
+
 (* The N-version axes render only when non-default, so every display
    label of the paper's single-replica grid is unchanged. *)
 let nversion_suffix c =
-  if c.replicas = 1 && c.families = [] && c.vote = Any_mismatch then ""
+  if nversion_default c then ""
   else
     Printf.sprintf "/n%d%s%s" c.replicas
-      (match c.families with [] -> "" | fs -> "/" ^ String.concat "+" fs)
-      (match c.vote with Any_mismatch -> "" | Majority -> "/majority")
+      (match c.families with [] -> "" | fs -> "/" ^ families_atom fs)
+      (if c.vote = default.vote then "" else "/" ^ vote_name c.vote)
 
 let name c =
   Printf.sprintf "%s/%s/%s%s" (mode_name c.mode) (diversity_name c.diversity)

@@ -58,13 +58,45 @@ val temporal_mask_1_8 : int64
 val temporal_mask_1_2 : int64
 val temporal_mask_7_8 : int64
 
-val mode_name : mode -> string
-val diversity_name : diversity -> string
-val policy_name : policy -> string
-val vote_name : vote -> string
+(** {1 Canonical atoms}
 
-(** Display rendering of the N-version axes; [""] for the single-replica
-    default, so the paper grid's labels are unchanged. *)
+    The one textual codec of the configuration axes: cache keys, wire
+    frames, CLI values and figure labels are built from these printers.
+    Each parser reads back exactly what its printer writes and returns
+    [Error] on an unknown or out-of-range value. *)
+
+val max_replicas : int
+val mode_name : mode -> string
+val mode_of_name : string -> (mode, string) result
+val diversity_name : diversity -> string
+
+(** Also accepts ["none"]; pads must be >= 0. *)
+val diversity_of_name : string -> (diversity, string) result
+
+(** Full fidelity: [temporal-<hex mask>], [static-<hex float>]. *)
+val policy_atom : policy -> string
+
+(** A [Static] probability must lie in [0,1]. *)
+val policy_of_atom : string -> (policy, string) result
+
+(** Lossy display label ([temporal-8/64], [static-10%]). *)
+val policy_name : policy -> string
+
+val vote_name : vote -> string
+val vote_of_name : string -> (vote, string) result
+val families_atom : string list -> string
+val families_of_atom : string -> string list
+
+(** [Ok n] when [1 <= n <= max_replicas]. *)
+val check_replicas : int -> (int, string) result
+
+(** Replicas, families and vote are at their defaults: the paper's
+    single-replica design, whose labels, cache keys and wire frames
+    carry no N-version fields. *)
+val nversion_default : t -> bool
+
+(** Display rendering of the N-version axes; [""] when
+    {!nversion_default}. *)
 val nversion_suffix : t -> string
 
 val name : t -> string

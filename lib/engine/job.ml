@@ -12,6 +12,7 @@ module Config = Dpmr_core.Config
 module Experiment = Dpmr_fi.Experiment
 module Inject = Dpmr_fi.Inject
 module Outcome = Dpmr_vm.Outcome
+module Export = Dpmr_trace.Export
 
 type spec = {
   workload : string;  (** name in the [Workloads] registry *)
@@ -39,55 +40,31 @@ let make (e : Experiment.t) ~workload ~scale ~run_seed variant =
 
 (* ---------------- canonical rendering ---------------- *)
 
-let kind_repr = function
-  | Inject.Heap_array_resize pct -> Printf.sprintf "resize-%d" pct
-  | Inject.Immediate_free -> "free"
-  | Inject.Off_by_one -> "off-by-one"
-  | Inject.Wild_store off -> Printf.sprintf "wild-store-%d" off
-
 let site_repr (s : Inject.site) =
   Printf.sprintf "%s:%s:%d" s.Inject.func s.Inject.block s.Inject.index
 
 (* [Config.name] is for display (it rounds [Static] fractions); the cache
-   identity needs full fidelity, so floats render as hex and temporal
-   masks as the exact 64-bit pattern. *)
+   identity uses the full-fidelity atoms.  The N-version axes append only
+   when non-default, so every pre-N-version repr (and therefore its key)
+   is reproduced byte for byte. *)
 let config_repr (c : Config.t) =
-  let diversity =
-    match c.Config.diversity with
-    | Config.No_diversity -> "no-diversity"
-    | Config.Pad_malloc n -> Printf.sprintf "pad-malloc-%d" n
-    | Config.Zero_before_free -> "zero-before-free"
-    | Config.Rearrange_heap -> "rearrange-heap"
-    | Config.Pad_alloca n -> Printf.sprintf "pad-alloca-%d" n
-  in
-  let policy =
-    match c.Config.policy with
-    | Config.All_loads -> "all-loads"
-    | Config.Temporal m -> Printf.sprintf "temporal-%Lx" m
-    | Config.Static f -> Printf.sprintf "static-%h" f
-  in
-  (* N-version axes append only when non-default, so every pre-N-version
-     repr (and therefore its key) is reproduced byte for byte *)
-  let nversion =
-    if
-      c.Config.replicas = 1 && c.Config.families = []
-      && c.Config.vote = Config.Any_mismatch
-    then ""
-    else
-      Printf.sprintf ",n=%d,fam=%s,vote=%s" c.Config.replicas
-        (String.concat "+" c.Config.families)
-        (Config.vote_name c.Config.vote)
-  in
-  Printf.sprintf "%s,%s,%s,%Ld%s" (Config.mode_name c.Config.mode) diversity policy
-    c.Config.seed nversion
+  Printf.sprintf "%s,%s,%s,%Ld%s" (Config.mode_name c.Config.mode)
+    (Config.diversity_name c.Config.diversity)
+    (Config.policy_atom c.Config.policy)
+    c.Config.seed
+    (if Config.nversion_default c then ""
+     else
+       Printf.sprintf ",n=%d,fam=%s,vote=%s" c.Config.replicas
+         (Config.families_atom c.Config.families)
+         (Config.vote_name c.Config.vote))
 
 let variant_repr = function
   | Experiment.Golden -> "golden"
   | Experiment.Fi_stdapp (kind, site) ->
-      Printf.sprintf "fi-stdapp(%s@%s)" (kind_repr kind) (site_repr site)
+      Printf.sprintf "fi-stdapp(%s@%s)" (Inject.kind_atom kind) (site_repr site)
   | Experiment.Nofi_dpmr cfg -> Printf.sprintf "nofi-dpmr(%s)" (config_repr cfg)
   | Experiment.Fi_dpmr (cfg, kind, site) ->
-      Printf.sprintf "fi-dpmr(%s;%s@%s)" (config_repr cfg) (kind_repr kind)
+      Printf.sprintf "fi-dpmr(%s;%s@%s)" (config_repr cfg) (Inject.kind_atom kind)
         (site_repr site)
 
 let repr s =
@@ -117,20 +94,6 @@ type entry = {
   cls : Experiment.classification;
 }
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let classification_fields (c : Experiment.classification) =
   Printf.sprintf
     "\"sf\":%b,\"co\":%b,\"ndet\":%b,\"ddet\":%b,\"timeout\":%b,\"t2d\":%s,\"cost\":%Ld,\"peak_heap\":%d"
@@ -141,7 +104,7 @@ let classification_fields (c : Experiment.classification) =
 
 let entry_to_line e =
   Printf.sprintf "{\"key\":\"%s\",\"salt\":\"%s\",\"spec\":\"%s\",%s}"
-    (json_escape e.key) (json_escape e.salt) (json_escape e.spec_repr)
+    (Export.escaped e.key) (Export.escaped e.salt) (Export.escaped e.spec_repr)
     (classification_fields e.cls)
 
 (* Minimal parser for the flat JSON objects [entry_to_line] emits: string,

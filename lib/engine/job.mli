@@ -48,6 +48,10 @@ type entry = {
   cls : Experiment.classification;
 }
 
+(** The classification as comma-separated JSON members (no braces) —
+    shared by cache records and wire verdicts. *)
+val classification_fields : Experiment.classification -> string
+
 val entry_to_line : entry -> string
 (** One line of JSON (no trailing newline). *)
 
@@ -58,9 +62,8 @@ val entry_of_line : string -> entry option
 
     The cache lines — and the serving wire protocol built on the same
     convention — are single flat JSON objects with string / bool /
-    integer / null values only. *)
-
-val json_escape : string -> string
+    integer / null values only; strings are escaped with
+    [Dpmr_trace.Export.escaped]. *)
 
 val parse_flat_object :
   string -> (string * [ `String of string | `Bool of bool | `Int of int64 | `Null ]) list option

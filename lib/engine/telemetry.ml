@@ -188,7 +188,7 @@ let to_json ?(tier = (0, 0)) ?dispatch t ~workers
           if i > 0 then add ", ";
           add
             "{ \"addr\": \"%s\", \"healthy\": %b, \"sent\": %d, \"completed\": %d, \"jobs\": %d, \"retried\": %d, \"hedged\": %d, \"quarantined\": %d, \"failures\": %d, \"rtt_p50_ms\": %.2f, \"rtt_p95_ms\": %.2f }"
-            (Job.json_escape h.Dispatch.hs_addr)
+            (Dpmr_trace.Export.escaped h.Dispatch.hs_addr)
             h.Dispatch.hs_healthy h.Dispatch.hs_sent h.Dispatch.hs_completed
             h.Dispatch.hs_jobs h.Dispatch.hs_retried h.Dispatch.hs_hedged
             h.Dispatch.hs_quarantined h.Dispatch.hs_failures h.Dispatch.hs_rtt_p50_ms

@@ -12,6 +12,7 @@
 
 module Trace = Dpmr_trace.Trace
 module Analysis = Dpmr_trace.Forensics
+module Export = Dpmr_trace.Export
 
 type traced = {
   classification : Experiment.classification;
@@ -89,21 +90,6 @@ let fate (tr : traced) =
 
 (* ---------------- machine-readable report ---------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (** One flat JSON object summarizing a traced run — the [forensics]
     payload of a serving-daemon verdict.  Human-oriented parts
     (corruption, verdict) reuse the report pretty-printers, so the wire
@@ -113,23 +99,23 @@ let to_json (tr : traced) =
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let r = tr.report in
   add "{\"schema\":\"dpmr-forensics/1\"";
-  add ",\"fate\":\"%s\"" (json_escape (fate tr));
-  add ",\"verdict\":\"%s\"" (json_escape (Fmt.str "%a" Analysis.pp_verdict r.Analysis.verdict));
+  add ",\"fate\":\"%s\"" (Export.escaped (fate tr));
+  add ",\"verdict\":\"%s\"" (Export.escaped (Fmt.str "%a" Analysis.pp_verdict r.Analysis.verdict));
   (match r.Analysis.injected_at with
   | Some c -> add ",\"injected_at\":%d" c
   | None -> add ",\"injected_at\":null");
   (match r.Analysis.corruption with
-  | Some c -> add ",\"corruption\":\"%s\"" (json_escape (Fmt.str "%a" Analysis.pp_corruption c))
+  | Some c -> add ",\"corruption\":\"%s\"" (Export.escaped (Fmt.str "%a" Analysis.pp_corruption c))
   | None -> add ",\"corruption\":null");
   (match r.Analysis.first_bad_store with
   | Some (cost, c) ->
       add ",\"first_bad_store\":\"%s\",\"first_bad_store_at\":%d"
-        (json_escape (Fmt.str "%a" Analysis.pp_corruption c))
+        (Export.escaped (Fmt.str "%a" Analysis.pp_corruption c))
         cost
   | None -> add ",\"first_bad_store\":null,\"first_bad_store_at\":null");
   (match r.Analysis.detection with
   | Some d ->
-      add ",\"detected_what\":\"%s\",\"detected_at\":%d" (json_escape d.Analysis.what)
+      add ",\"detected_what\":\"%s\",\"detected_at\":%d" (Export.escaped d.Analysis.what)
         d.Analysis.at_cost
   | None -> add ",\"detected_what\":null,\"detected_at\":null");
   (match tr.distance with

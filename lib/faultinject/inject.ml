@@ -33,6 +33,27 @@ let kind_name = function
   | Off_by_one -> "off-by-one"
   | Wild_store off -> Printf.sprintf "wild-store+%d" off
 
+let kind_atom = function
+  | Heap_array_resize pct -> Printf.sprintf "resize-%d" pct
+  | Immediate_free -> "free"
+  | Off_by_one -> "off-by-one"
+  | Wild_store off -> Printf.sprintf "wild-store-%d" off
+
+let kind_of_atom s =
+  let arg fmt = Scanf.sscanf_opt s fmt Fun.id in
+  match (s, arg "resize-%d%!", arg "wild-store-%d%!") with
+  | "free", _, _ -> Ok Immediate_free
+  | "off-by-one", _, _ -> Ok Off_by_one
+  | "resize", _, _ -> Ok (Heap_array_resize 50)
+  | _, Some pct, _ when pct >= 0 && pct <= 100 -> Ok (Heap_array_resize pct)
+  | _, Some pct, _ ->
+      Error (Printf.sprintf "resize percentage to keep must be in 0..100 (got %d)" pct)
+  | _, _, Some off -> Ok (Wild_store off)
+  | _ ->
+      Error
+        (Printf.sprintf
+           "unknown fault kind %S (want resize[-<pct>] | free | off-by-one | wild-store-<n>)" s)
+
 type site = { func : string; block : string; index : int }
 (** [index] = position of the malloc instruction within its block. *)
 

@@ -18,7 +18,16 @@ type kind =
   | Off_by_one  (** request one element fewer (extension) *)
   | Wild_store of int  (** displace a store by a byte offset (extension) *)
 
+(** Display label, e.g. [heap-array-resize-50%]. *)
 val kind_name : kind -> string
+
+(** Canonical atom of cache keys and wire frames: [resize-<pct>],
+    [free], [off-by-one], [wild-store-<offset>]. *)
+val kind_atom : kind -> string
+
+(** Inverse of {!kind_atom}; also accepts ["resize"] for [resize-50].
+    A resize percentage must lie in 0..100. *)
+val kind_of_atom : string -> (kind, string) result
 
 type site = { func : string; block : string; index : int }
 (** [index] is the instruction's position within its block. *)

@@ -67,16 +67,12 @@ let experiment ctx name =
 
 (* ---------------- variant sets ---------------- *)
 
+let labelled_diversities = List.map (fun d -> (Config.diversity_name d, d))
+
 let diversities =
-  [
-    ("no-diversity", Config.No_diversity);
-    ("zero-before-free", Config.Zero_before_free);
-    ("rearrange-heap", Config.Rearrange_heap);
-    ("pad-malloc-8", Config.Pad_malloc 8);
-    ("pad-malloc-32", Config.Pad_malloc 32);
-    ("pad-malloc-256", Config.Pad_malloc 256);
-    ("pad-malloc-1024", Config.Pad_malloc 1024);
-  ]
+  labelled_diversities
+    Config.[ No_diversity; Zero_before_free; Rearrange_heap; Pad_malloc 8; Pad_malloc 32;
+             Pad_malloc 256; Pad_malloc 1024 ]
 
 let policies =
   [
@@ -525,12 +521,8 @@ let all : (string * string * (ctx -> unit)) list =
         side_by_side_overhead ctx
           ~title:"Figure 4.3: SDS vs MDS diversity overheads"
           ~variants:
-            [
-              ("no-diversity", Config.No_diversity);
-              ("zero-before-free", Config.Zero_before_free);
-              ("rearrange-heap", Config.Rearrange_heap);
-              ("pad-malloc-32", Config.Pad_malloc 32);
-            ]
+            (labelled_diversities
+               Config.[ No_diversity; Zero_before_free; Rearrange_heap; Pad_malloc 32 ])
           ~mk_cfg:div_cfg );
     ( "fig-4.4",
       "side-by-side comparison policy overheads of SDS and MDS",

@@ -27,6 +27,12 @@ val create :
   unit ->
   ctx
 
+(** The labelled diversity and comparison-policy variant sets of the
+    Chapter 3/4 studies. *)
+val diversities : (string * Dpmr_core.Config.diversity) list
+
+val policies : (string * Dpmr_core.Config.policy) list
+
 (** (id, description, driver) for every experiment. *)
 val all : (string * string * (ctx -> unit)) list
 

@@ -11,7 +11,8 @@
     Requests reference programs by name: a built-in workload, or a
     content-addressed ["@ir/<hash>"] name minted by a [register]
     request carrying textual IR.  Variants are flat scalar fields using
-    the exact canonical atoms of the cache identity ([Job.repr]), so a
+    the canonical atoms of {!Config} and {!Inject} — the same atoms the
+    cache identity ([Job.repr]) and the CLI read and write — so a
     request, its cache key and its batch-CLI equivalent can never
     disagree on what was asked. *)
 
@@ -25,93 +26,6 @@ let version = 1
 let max_frame = 16 * 1024 * 1024
 (** Upper bound on one frame's payload: large enough for any IR program
     we ship, small enough to refuse a garbage length prefix. *)
-
-(* ---------------- variant atoms (Job.repr conventions) ---------------- *)
-
-let kind_to_string = function
-  | Inject.Heap_array_resize pct -> Printf.sprintf "resize-%d" pct
-  | Inject.Immediate_free -> "free"
-  | Inject.Off_by_one -> "off-by-one"
-  | Inject.Wild_store off -> Printf.sprintf "wild-store-%d" off
-
-let kind_of_string s =
-  match s with
-  | "free" -> Some Inject.Immediate_free
-  | "off-by-one" -> Some Inject.Off_by_one
-  | "resize" -> Some (Inject.Heap_array_resize 50)
-  | _ when String.starts_with ~prefix:"resize-" s -> (
-      match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
-      | Some pct -> Some (Inject.Heap_array_resize pct)
-      | None -> None)
-  | _ when String.starts_with ~prefix:"wild-store-" s -> (
-      match int_of_string_opt (String.sub s 11 (String.length s - 11)) with
-      | Some off -> Some (Inject.Wild_store off)
-      | None -> None)
-  | _ -> None
-
-let diversity_to_string = function
-  | Config.No_diversity -> "no-diversity"
-  | Config.Pad_malloc n -> Printf.sprintf "pad-malloc-%d" n
-  | Config.Zero_before_free -> "zero-before-free"
-  | Config.Rearrange_heap -> "rearrange-heap"
-  | Config.Pad_alloca n -> Printf.sprintf "pad-alloca-%d" n
-
-let diversity_of_string s =
-  match s with
-  | "no-diversity" | "none" -> Some Config.No_diversity
-  | "zero-before-free" -> Some Config.Zero_before_free
-  | "rearrange-heap" -> Some Config.Rearrange_heap
-  | _ when String.starts_with ~prefix:"pad-malloc-" s -> (
-      match int_of_string_opt (String.sub s 11 (String.length s - 11)) with
-      | Some n -> Some (Config.Pad_malloc n)
-      | None -> None)
-  | _ when String.starts_with ~prefix:"pad-alloca-" s -> (
-      match int_of_string_opt (String.sub s 11 (String.length s - 11)) with
-      | Some n -> Some (Config.Pad_alloca n)
-      | None -> None)
-  | _ -> None
-
-let policy_to_string = function
-  | Config.All_loads -> "all-loads"
-  | Config.Temporal m -> Printf.sprintf "temporal-%Lx" m
-  | Config.Static f -> Printf.sprintf "static-%h" f
-
-let policy_of_string s =
-  match s with
-  | "all-loads" -> Some Config.All_loads
-  | _ when String.starts_with ~prefix:"temporal-" s -> (
-      match Int64.of_string_opt ("0x" ^ String.sub s 9 (String.length s - 9)) with
-      | Some m -> Some (Config.Temporal m)
-      | None -> None)
-  | _ when String.starts_with ~prefix:"static-" s -> (
-      match float_of_string_opt (String.sub s 7 (String.length s - 7)) with
-      | Some f -> Some (Config.Static f)
-      | None -> None)
-  | _ -> None
-
-let mode_to_string = function Config.Sds -> "sds" | Config.Mds -> "mds"
-
-let mode_of_string = function
-  | "sds" -> Some Config.Sds
-  | "mds" -> Some Config.Mds
-  | _ -> None
-
-let vote_to_string = function
-  | Config.Any_mismatch -> "any-mismatch"
-  | Config.Majority -> "majority"
-
-let vote_of_string = function
-  | "any-mismatch" -> Some Config.Any_mismatch
-  | "majority" -> Some Config.Majority
-  | _ -> None
-
-(** Families travel as one "+"-joined string field, matching the
-    {!Config.nversion_suffix} rendering. *)
-let families_to_string fs = String.concat "+" fs
-
-let families_of_string s =
-  if s = "" then []
-  else String.split_on_char '+' s |> List.filter (fun f -> f <> "")
 
 (* ---------------- request / response model ---------------- *)
 
@@ -180,6 +94,19 @@ let config_of (p : run_params) =
     vote = p.vote;
   }
 
+(** Inverse of {!config_of}: [p] with every config field taken from [c]. *)
+let with_config (c : Config.t) p =
+  {
+    p with
+    mode = c.Config.mode;
+    diversity = c.Config.diversity;
+    policy = c.Config.policy;
+    cfg_seed = c.Config.seed;
+    replicas = c.Config.replicas;
+    families = c.Config.families;
+    vote = c.Config.vote;
+  }
+
 type body =
   | Hello of string  (** client identification, echoed in logs *)
   | Run of run_params
@@ -243,7 +170,7 @@ type response = { rrid : int; reply : reply }
 
 (* ---------------- encoding ---------------- *)
 
-let esc = Job.json_escape
+let esc = Dpmr_trace.Export.escaped
 
 let encode_request { rid; body } =
   let b = Buffer.create 256 in
@@ -261,7 +188,7 @@ let encode_request { rid; body } =
       add ",\"eseed\":%Ld,\"rseed\":%Ld,\"budget\":%Ld" p.exp_seed p.run_seed p.budget;
       add ",\"golden\":%b,\"plain\":%b" p.golden p.plain;
       add ",\"kind\":%s"
-        (match p.kind with Some k -> Printf.sprintf "\"%s\"" (kind_to_string k) | None -> "null");
+        (match p.kind with Some k -> Printf.sprintf "\"%s\"" (Inject.kind_atom k) | None -> "null");
       add ",\"site\":%d" p.site;
       (match p.site_ref with
       | None -> ()
@@ -269,16 +196,19 @@ let encode_request { rid; body } =
           add ",\"sfunc\":\"%s\",\"sblock\":\"%s\",\"sidx\":%d" (esc s.Inject.func)
             (esc s.Inject.block) s.Inject.index);
       add ",\"mode\":\"%s\",\"diversity\":\"%s\",\"policy\":\"%s\",\"cseed\":%Ld"
-        (mode_to_string p.mode)
-        (diversity_to_string p.diversity)
-        (policy_to_string p.policy) p.cfg_seed;
-      (* N-version fields travel only when non-default, so single-replica
-         frames are byte-identical to the pre-N-version wire format *)
-      if p.replicas <> 1 then add ",\"replicas\":%d" p.replicas;
-      if p.families <> [] then
-        add ",\"families\":\"%s\"" (esc (families_to_string p.families));
-      if p.vote <> Config.Any_mismatch then
-        add ",\"vote\":\"%s\"" (vote_to_string p.vote);
+        (Config.mode_name p.mode)
+        (Config.diversity_name p.diversity)
+        (Config.policy_atom p.policy) p.cfg_seed;
+      (* N-version fields travel only when non-default, each on its own,
+         so single-replica frames are byte-identical to the pre-N-version
+         wire format *)
+      let c = config_of p and d = Config.default in
+      if not (Config.nversion_default c) then begin
+        if c.replicas <> d.replicas then add ",\"replicas\":%d" c.replicas;
+        if c.families <> d.families then
+          add ",\"families\":\"%s\"" (esc (Config.families_atom c.families));
+        if c.vote <> d.vote then add ",\"vote\":\"%s\"" (Config.vote_name c.vote)
+      end;
       add ",\"forensics\":%b" p.forensics);
   Buffer.add_char b '}';
   Buffer.contents b
@@ -296,13 +226,7 @@ let encode_response ?index { rrid; reply } =
       add ",\"t\":\"error\",\"code\":\"%s\",\"msg\":\"%s\"" (error_code_to_string code)
         (esc msg)
   | Verdict v ->
-      let c = v.cls in
-      add ",\"t\":\"verdict\"";
-      add ",\"sf\":%b,\"co\":%b,\"ndet\":%b,\"ddet\":%b,\"timeout\":%b" c.Experiment.sf
-        c.Experiment.co c.Experiment.ndet c.Experiment.ddet c.Experiment.timeout;
-      add ",\"t2d\":%s"
-        (match c.Experiment.t2d with Some t -> Int64.to_string t | None -> "null");
-      add ",\"cost\":%Ld,\"peak_heap\":%d" c.Experiment.cost c.Experiment.peak_heap;
+      add ",\"t\":\"verdict\",%s" (Job.classification_fields v.cls);
       add ",\"cached\":%b,\"wall_us\":%d" v.cached v.wall_us;
       add ",\"forensics\":%s"
         (match v.vforensics with
@@ -370,10 +294,12 @@ let check_version fields =
       Error (Printf.sprintf "protocol version %Ld not supported (this end speaks %d)" v version)
   | _ -> Error "missing protocol version field \"v\""
 
-let atom name parse s =
-  match parse s with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "bad %s %S" name s)
+(* an optional string field holding a canonical atom *)
+let atom_field fields k parse ~default =
+  match List.assoc_opt k fields with
+  | Some (`String s) -> parse s
+  | None -> Ok default
+  | _ -> Error (Printf.sprintf "field %S must be a string" k)
 
 let decode_run fields =
   let* workload = str_field fields "workload" ~default:default_run.workload in
@@ -387,9 +313,7 @@ let decode_run fields =
   let* kind =
     match kind_s with
     | None | Some "none" -> Ok None
-    | Some s ->
-        let* k = atom "fault kind" kind_of_string s in
-        Ok (Some k)
+    | Some s -> Result.map Option.some (Inject.kind_of_atom s)
   in
   let* site = int_field fields "site" ~default:0 in
   let* sfunc = opt_str fields "sfunc" in
@@ -401,22 +325,16 @@ let decode_run fields =
         let* index = int_field fields "sidx" ~default:0 in
         Ok (Some { Inject.func; block; index })
   in
-  let* mode_s = str_field fields "mode" ~default:"sds" in
-  let* mode = atom "mode" mode_of_string mode_s in
-  let* div_s = str_field fields "diversity" ~default:"no-diversity" in
-  let* diversity = atom "diversity" diversity_of_string div_s in
-  let* pol_s = str_field fields "policy" ~default:"all-loads" in
-  let* policy = atom "policy" policy_of_string pol_s in
+  let d = default_run in
+  let* mode = atom_field fields "mode" Config.mode_of_name ~default:d.mode in
+  let* diversity = atom_field fields "diversity" Config.diversity_of_name ~default:d.diversity in
+  let* policy = atom_field fields "policy" Config.policy_of_atom ~default:d.policy in
   let* cfg_seed = int64_field fields "cseed" ~default:exp_seed in
-  let* replicas = int_field fields "replicas" ~default:1 in
-  let* () =
-    if replicas >= 1 then Ok ()
-    else Error (Printf.sprintf "replicas must be >= 1 (got %d)" replicas)
-  in
+  let* replicas = int_field fields "replicas" ~default:d.replicas in
+  let* replicas = Config.check_replicas replicas in
   let* families_s = str_field fields "families" ~default:"" in
-  let families = families_of_string families_s in
-  let* vote_s = str_field fields "vote" ~default:"any-mismatch" in
-  let* vote = atom "vote" vote_of_string vote_s in
+  let families = Config.families_of_atom families_s in
+  let* vote = atom_field fields "vote" Config.vote_of_name ~default:d.vote in
   let* forensics = bool_field fields "forensics" ~default:false in
   Ok
     {
@@ -493,7 +411,10 @@ let decode_response line =
         Ok (Stats_json json)
     | "error" ->
         let* code_s = str fields "code" in
-        let* code = atom "error code" error_code_of_string code_s in
+        let* code =
+          Option.to_result ~none:(Printf.sprintf "bad error code %S" code_s)
+            (error_code_of_string code_s)
+        in
         let* msg = str_field fields "msg" ~default:"" in
         Ok (Error (code, msg))
     | "verdict" ->

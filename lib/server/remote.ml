@@ -46,30 +46,9 @@ let params_of_spec (spec : Job.spec) =
   | Experiment.Golden -> { base with Protocol.golden = true }
   | Experiment.Fi_stdapp (kind, site) ->
       { base with Protocol.plain = true; kind = Some kind; site_ref = Some site }
-  | Experiment.Nofi_dpmr cfg ->
-      {
-        base with
-        Protocol.mode = cfg.Dpmr_core.Config.mode;
-        diversity = cfg.Dpmr_core.Config.diversity;
-        policy = cfg.Dpmr_core.Config.policy;
-        cfg_seed = cfg.Dpmr_core.Config.seed;
-        replicas = cfg.Dpmr_core.Config.replicas;
-        families = cfg.Dpmr_core.Config.families;
-        vote = cfg.Dpmr_core.Config.vote;
-      }
+  | Experiment.Nofi_dpmr cfg -> Protocol.with_config cfg base
   | Experiment.Fi_dpmr (cfg, kind, site) ->
-      {
-        base with
-        Protocol.kind = Some kind;
-        site_ref = Some site;
-        mode = cfg.Dpmr_core.Config.mode;
-        diversity = cfg.Dpmr_core.Config.diversity;
-        policy = cfg.Dpmr_core.Config.policy;
-        cfg_seed = cfg.Dpmr_core.Config.seed;
-        replicas = cfg.Dpmr_core.Config.replicas;
-        families = cfg.Dpmr_core.Config.families;
-        vote = cfg.Dpmr_core.Config.vote;
-      }
+      Protocol.with_config cfg { base with Protocol.kind = Some kind; site_ref = Some site }
 
 (** [unix:PATH], [HOST:PORT], or a bare socket path. *)
 let endpoint_of_addr addr =

@@ -21,6 +21,13 @@ let escape b s =
       | c -> Buffer.add_char b c)
     s
 
+(* The project's one JSON string escaper: trace export, cache records,
+   wire frames and reports all use it. *)
+let escaped s =
+  let b = Buffer.create (String.length s + 8) in
+  escape b s;
+  Buffer.contents b
+
 let event b ~first ~name ~cat ~ph ~ts ~pid ~tid args =
   if not !first then Buffer.add_string b ",\n";
   first := false;

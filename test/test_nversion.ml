@@ -260,15 +260,20 @@ let test_config_repr_nversion_suffix () =
 (* ---- wire protocol compatibility ---- *)
 
 let test_protocol_defaults_and_roundtrip () =
-  (* a frame from a pre-N-version client: no replicas/families/vote
-     fields at all — must decode to the defaults *)
+  (* a frame exactly as a pre-N-version client encodes it: every
+     single-replica field, no replicas/families/vote — must decode to
+     the defaults *)
   let old_frame =
-    "{\"v\":1,\"id\":7,\"t\":\"run\",\"w\":\"mcf\",\"scale\":1,\"exp_seed\":42,\
-     \"run_seed\":42,\"budget\":0,\"mode\":\"sds\",\"div\":\"none\",\
-     \"policy\":\"all-loads\",\"cfg_seed\":42}"
+    "{\"v\":1,\"id\":7,\"t\":\"run\",\"workload\":\"mcf\",\"scale\":1,\"eseed\":42,\
+     \"rseed\":42,\"budget\":0,\"golden\":false,\"plain\":false,\"kind\":null,\
+     \"site\":0,\"mode\":\"mds\",\"diversity\":\"pad-malloc-8\",\
+     \"policy\":\"all-loads\",\"cseed\":42,\"forensics\":false}"
   in
   (match Protocol.decode_request old_frame with
   | Ok { Protocol.body = Protocol.Run p; _ } ->
+      Alcotest.(check string) "workload decodes" "mcf" p.Protocol.workload;
+      Alcotest.(check bool) "single-replica fields decode" true
+        (p.Protocol.mode = Config.Mds && p.Protocol.diversity = Config.Pad_malloc 8);
       Alcotest.(check int) "replicas defaults to 1" 1 p.Protocol.replicas;
       Alcotest.(check bool) "families default to []" true (p.Protocol.families = []);
       Alcotest.(check bool) "vote defaults to any-mismatch" true

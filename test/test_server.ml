@@ -23,6 +23,11 @@ let in_tmp_dir f =
   Sys.chdir dir;
   Fun.protect ~finally:(fun () -> Sys.chdir cwd) (fun () -> f dir)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 (* ---- protocol round-trips ---- *)
 
 let sample_runs =
@@ -356,12 +361,7 @@ let test_daemon_end_to_end () =
   (match vf.Protocol.vforensics with
   | Some j ->
       Alcotest.(check bool) "forensics JSON has schema marker" true
-        (let sub = "dpmr-forensics/1" in
-         let rec find i =
-           i + String.length sub <= String.length j
-           && (String.sub j i (String.length sub) = sub || find (i + 1))
-         in
-         find 0)
+        (contains j "dpmr-forensics/1")
   | None -> Alcotest.fail "forensics requested but absent");
   (* unknown workloads are a typed error, not a hangup *)
   (match Client.run c { Protocol.default_run with Protocol.workload = "nope" } with
@@ -369,6 +369,18 @@ let test_daemon_end_to_end () =
   | Protocol.Error (code, msg) ->
       Alcotest.failf "wrong error (%s): %s" (Protocol.error_code_to_string code) msg
   | _ -> Alcotest.fail "unknown workload must be rejected");
+  (* out-of-range config atoms are refused at decode time *)
+  List.iter
+    (fun (p, range) ->
+      match Client.run c p with
+      | Protocol.Error (Protocol.Bad_request, msg) ->
+          Alcotest.(check bool) ("bad-request names " ^ range) true (contains msg range)
+      | _ -> Alcotest.fail "out-of-range run must be a bad-request")
+    [
+      ({ Protocol.default_run with Protocol.replicas = Config.max_replicas + 1 }, "1..64");
+      ({ Protocol.default_run with Protocol.diversity = Config.Pad_malloc (-64) }, ">= 0");
+      ({ Protocol.default_run with Protocol.policy = Config.Static 3.0 }, "[0,1]");
+    ];
   (* register textual IR, then run it by its minted name *)
   (match Client.register c (Dpmr_ir.Text.emit (Dpmr_workloads.Micro.binary_tree ())) with
   | Protocol.Registered name ->
@@ -483,12 +495,18 @@ let test_max_conns_busy () =
   Client.close c1;
   let rec retry n =
     let c3 = Client.connect_unix sock in
+    (* until the server notices c1 left, c3 is refused: with a Busy
+       frame, or — when the server has already closed its end — with a
+       transport error on the ping's write *)
+    let refused () =
+      Client.close c3;
+      Unix.sleepf 0.02;
+      retry (n - 1)
+    in
     match Client.ping c3 with
     | Protocol.Ack _ -> Client.close c3
-    | _ when n > 0 ->
-        Client.close c3;
-        Unix.sleepf 0.02;
-        retry (n - 1)
+    | _ when n > 0 -> refused ()
+    | exception (Unix.Unix_error _ | Protocol.Closed) when n > 0 -> refused ()
     | _ -> Alcotest.fail "slot must free after disconnect"
   in
   retry 100
