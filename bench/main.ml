@@ -48,7 +48,8 @@ let run_figures () =
   let engine = Engine.create () in
   let ctx = Figures.create ~engine () in
   Figures.run_all ctx;
-  Engine.print_summary engine
+  Engine.print_summary engine;
+  Engine.close engine
 
 (* ------------------------------------------------------------------ *)
 (* Half 2: bechamel microbenches, one per table/figure                 *)

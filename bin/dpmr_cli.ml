@@ -451,30 +451,8 @@ let report_cmd =
              running them locally once fewer than $(docv) workers stay \
              healthy.  0 = degrade to local execution silently.")
   in
-  let window_t =
-    Arg.(
-      value & opt int Dispatch.default_policy.Dispatch.window
-      & info [ "window" ] ~docv:"N"
-          ~doc:"Outstanding chunks per worker (its scatter window).")
-  in
-  let chunk_t =
-    Arg.(
-      value & opt int 0
-      & info [ "chunk" ] ~docv:"N"
-          ~doc:"Jobs per dispatched chunk (0 = size automatically from the \
-                batch and worker count).")
-  in
-  let hedge_ms_t =
-    Arg.(
-      value
-      & opt float (Dispatch.default_policy.Dispatch.hedge_after *. 1000.)
-      & info [ "hedge-ms" ] ~docv:"MS"
-          ~doc:"Duplicate a straggling chunk onto a second healthy worker \
-                after $(docv) milliseconds; first result wins (0 disables).")
-  in
   let go id fig scale seed reps replicas families vote jobs no_cache chaos deadline
-      retries backoff_ms telemetry_json tier remote_workers min_workers window chunk
-      hedge_ms =
+      retries backoff_ms telemetry_json tier remote_workers min_workers =
     (match tier with None -> () | Some m -> Dpmr_vm.Vm.set_tier_mode m);
     (match chaos with
     | None -> () (* DPMR_CHAOS, if set, still applies via Chaos.active *)
@@ -512,9 +490,6 @@ let report_cmd =
             {
               Dispatch.default_policy with
               Dispatch.base = policy;
-              window = max 1 window;
-              chunk_jobs = max 0 chunk;
-              hedge_after = Float.max 0. (hedge_ms /. 1000.);
               min_workers = max 0 min_workers;
             }
           in
@@ -557,7 +532,8 @@ let report_cmd =
      else if List.mem id Figures.ids then Figures.run ctx id
      else die "unknown experiment %S (see 'dpmr list')" id);
     Engine.print_summary engine;
-    write_telemetry ()
+    write_telemetry ();
+    Engine.close engine
   in
   Cmd.v
     (Cmd.info "report"
@@ -567,7 +543,7 @@ let report_cmd =
       const go $ id_t $ fig_t $ scale_t $ seed_t $ reps_t $ replicas_t
       $ families_t $ vote_t $ jobs_t $ no_cache_t $ chaos_t
       $ deadline_t $ retries_t $ backoff_ms_t $ telemetry_json_t $ tier_t
-      $ remote_workers_t $ min_workers_t $ window_t $ chunk_t $ hedge_ms_t)
+      $ remote_workers_t $ min_workers_t)
 
 let cache_cmd =
   let action_t =

@@ -160,7 +160,7 @@ let go socket tcp workers retries backoff_ms deadline quota_rps quota_burst max_
   in
   let jobs = if workers <= 0 then Engine.default_jobs () else workers in
   let engine =
-    Engine.create ~jobs ~use_cache:(not no_cache) ?cache_dir ~policy ~resident:true ()
+    Engine.create ~jobs ~use_cache:(not no_cache) ?cache_dir ~policy ()
   in
   let cfg =
     {

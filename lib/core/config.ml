@@ -77,6 +77,10 @@ let temporal_mask_7_8 = 0xFEFEFEFEFEFEFEFEL
    program without limit before any budget applies. *)
 let max_replicas = 64
 
+(* 64x the largest pad any figure or Rx step uses (1024): a larger pad
+   grows the simulated heap until the host runs out of memory. *)
+let max_pad = 65536
+
 let mode_name = function Sds -> "sds" | Mds -> "mds"
 
 let mode_of_name = function
@@ -94,8 +98,8 @@ let diversity_name = function
 let diversity_of_name s =
   let pad fmt = Scanf.sscanf_opt s fmt Fun.id in
   let sized mk n =
-    if n >= 0 then Ok (mk n)
-    else Error (Printf.sprintf "pad size must be >= 0 bytes (got %d)" n)
+    if n >= 0 && n <= max_pad then Ok (mk n)
+    else Error (Printf.sprintf "pad size must be >= 0 and <= %d bytes (got %d)" max_pad n)
   in
   match (s, pad "pad-malloc-%d%!", pad "pad-alloca-%d%!") with
   | ("no-diversity" | "none"), _, _ -> Ok No_diversity

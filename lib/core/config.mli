@@ -66,11 +66,16 @@ val temporal_mask_7_8 : int64
     [Error] on an unknown or out-of-range value. *)
 
 val max_replicas : int
+
+(** 65536: the largest [Pad_malloc] / [Pad_alloca] size the parser
+    accepts. *)
+val max_pad : int
+
 val mode_name : mode -> string
 val mode_of_name : string -> (mode, string) result
 val diversity_name : diversity -> string
 
-(** Also accepts ["none"]; pads must be >= 0. *)
+(** Also accepts ["none"]; pads must lie in [0 .. max_pad]. *)
 val diversity_of_name : string -> (diversity, string) result
 
 (** Full fidelity: [temporal-<hex mask>], [static-<hex float>]. *)

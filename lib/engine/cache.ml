@@ -5,9 +5,8 @@
 
     Classifications are persisted as line-delimited JSON across
     [_dpmr_cache/results-<x>.jsonl], one shard per leading hex digit of
-    the job hash (16 shards).  The pre-sharding single file
-    [results.jsonl] is still read and migrated into the shards on load.
-    Durability against process death is the design center:
+    the job hash (16 shards).  Durability against process death is the
+    design center:
 
     - every record is framed with a CRC32 of its payload, so garbage
       bytes, merged lines and bit flips are detected, not parsed;
@@ -31,7 +30,6 @@ module Experiment = Dpmr_fi.Experiment
 
 let default_dir = "_dpmr_cache"
 let shard_count = 16
-let file_of dir = Filename.concat dir "results.jsonl"
 
 let shard_file dir i = Filename.concat dir (Printf.sprintf "results-%x.jsonl" i)
 let tmp_of path = path ^ ".tmp"
@@ -170,13 +168,12 @@ let load ?(dir = default_dir) ?(flush_every = default_flush_every) ~salt () =
   in
   let live = Array.make shard_count [] (* reversed live lines per shard *) in
   let dirty = Array.make shard_count false (* shard must be rewritten *) in
-  (* absorb one raw line; [src] is the shard file it was read from
-     ([None] for the legacy single file).  A line survives into [live]
-     of its {e key's} shard; any line that is dropped (damaged,
-     stale-salt, duplicate) or moves shard dirties the file(s) involved
-     so compaction repairs them. *)
-  let absorb ~src line =
-    let dirty_src () = match src with Some j -> dirty.(j) <- true | None -> () in
+  (* absorb one raw line read from shard file [src].  A line survives
+     into [live] of its {e key's} shard; any line that is dropped
+     (damaged, stale-salt, duplicate) or moves shard dirties the file(s)
+     involved so compaction repairs them. *)
+  let absorb src line =
+    let dirty_src () = dirty.(src) <- true in
     match decode line with
     | Damaged ->
         stats.damaged <- stats.damaged + 1;
@@ -188,42 +185,33 @@ let load ?(dir = default_dir) ?(flush_every = default_flush_every) ~salt () =
           dirty_src ()
         end
         else if Hashtbl.mem shards.(i).tbl e.Job.key then begin
-          (* duplicate append (legacy overlap, or two federated writers
-             racing on one key): keep the first, drop this line *)
+          (* duplicate append (two federated writers racing on one
+             key): keep the first, drop this line *)
           dirty_src ();
           dirty.(i) <- true
         end
         else begin
           Hashtbl.replace shards.(i).tbl e.Job.key e.Job.cls;
           live.(i) <- line :: live.(i);
-          match src with
-          | Some j when j = i -> ()
-          | Some j ->
-              (* mis-homed record: rewrite both files *)
-              dirty.(j) <- true;
-              dirty.(i) <- true
-          | None -> dirty.(i) <- true (* legacy migration *)
+          if src <> i then begin
+            (* mis-homed record: rewrite both files *)
+            dirty_src ();
+            dirty.(i) <- true
+          end
         end
   in
   Array.iteri
     (fun i sh ->
       let lines, torn = read_raw sh.path in
-      List.iter (absorb ~src:(Some i)) lines;
+      List.iter (absorb i) lines;
       if torn then begin
         stats.damaged <- stats.damaged + 1;
         dirty.(i) <- true
       end)
     shards;
-  (* migrate the pre-sharding single file, if present *)
-  let legacy = file_of dir in
-  let legacy_lines, legacy_torn = read_raw legacy in
-  List.iter (absorb ~src:None) legacy_lines;
-  if legacy_torn then stats.damaged <- stats.damaged + 1;
   Array.iteri
     (fun i sh -> if dirty.(i) then compact ~dir sh.path (List.rev live.(i)))
     shards;
-  if Sys.file_exists legacy then Sys.remove legacy;
-  if Sys.file_exists (tmp_of legacy) then Sys.remove (tmp_of legacy);
   { dir; salt; flush_every = max 1 flush_every; shards; stats; stats_mu = Mutex.create () }
 
 let entries t = Array.fold_left (fun n sh -> n + Hashtbl.length sh.tbl) 0 t.shards
@@ -309,8 +297,7 @@ let stats t = t.stats
 
 (* ---------------- maintenance (CLI [cache] subcommand) ---------------- *)
 
-let all_files dir =
-  file_of dir :: List.init shard_count (fun i -> shard_file dir i)
+let all_files dir = List.init shard_count (shard_file dir)
 
 let clear ?(dir = default_dir) () =
   let n =
@@ -338,7 +325,7 @@ type shard_stats = {
 
 type disk_stats = {
   path : string;
-  files : int;  (** shard files present on disk (plus any legacy file) *)
+  files : int;  (** shard files present on disk *)
   total : int;  (** intact entries on disk *)
   current : int;  (** entries under the given salt *)
   stale : int;  (** entries under any other salt *)
@@ -346,59 +333,42 @@ type disk_stats = {
   torn_tail : bool;  (** some file ends in an unterminated record *)
   bytes : int;
   per_shard : shard_stats array;
-      (** one slot per shard file ([shard_count] of them; the legacy
-          single file, when present, counts toward the totals only) *)
+      (** one slot per shard file ([shard_count] of them) *)
 }
 
 let disk_stats ?(dir = default_dir) ~salt () =
-  let files = ref 0 in
-  let total = ref 0 and current = ref 0 and damaged = ref 0 in
-  let torn_tail = ref false in
-  let bytes = ref 0 in
-  let per_shard =
-    Array.make shard_count { sh_records = 0; sh_current = 0; sh_damaged = 0 }
-  in
-  let scan ?shard path =
+  let files = ref 0 and torn_tail = ref false and bytes = ref 0 in
+  let scan path =
+    let records = ref 0 and cur = ref 0 and dam = ref 0 in
     if Sys.file_exists path then begin
       incr files;
       bytes := !bytes + (Unix.stat path).Unix.st_size;
-      let records = ref 0 and cur = ref 0 and dam = ref 0 in
       let lines, torn = read_raw path in
       if torn then begin
         torn_tail := true;
-        incr damaged;
         incr dam
       end;
       List.iter
         (fun l ->
           match decode l with
-          | Damaged ->
-              incr damaged;
-              incr dam
+          | Damaged -> incr dam
           | Entry e ->
-              incr total;
               incr records;
-              if e.Job.salt = salt then begin
-                incr current;
-                incr cur
-              end)
-        lines;
-      match shard with
-      | Some i ->
-          per_shard.(i) <-
-            { sh_records = !records; sh_current = !cur; sh_damaged = !dam }
-      | None -> ()
-    end
+              if e.Job.salt = salt then incr cur)
+        lines
+    end;
+    { sh_records = !records; sh_current = !cur; sh_damaged = !dam }
   in
-  scan (file_of dir);
-  List.iteri (fun i path -> scan ~shard:i path) (List.init shard_count (shard_file dir));
+  let per_shard = Array.init shard_count (fun i -> scan (shard_file dir i)) in
+  let sum f = Array.fold_left (fun n sh -> n + f sh) 0 per_shard in
+  let total = sum (fun sh -> sh.sh_records) and current = sum (fun sh -> sh.sh_current) in
   {
     path = dir;
     files = !files;
-    total = !total;
-    current = !current;
-    stale = !total - !current;
-    damaged = !damaged;
+    total;
+    current;
+    stale = total - current;
+    damaged = sum (fun sh -> sh.sh_damaged);
     torn_tail = !torn_tail;
     bytes = !bytes;
     per_shard;

@@ -3,8 +3,7 @@
     keyed by [Job.hash] and {b sharded by the hash's leading hex digit}
     into [results-<x>.jsonl] (16 shards), so concurrent appenders —
     worker domains of one process, or several processes federating one
-    cache directory — never contend on a single file.  The pre-sharding
-    [results.jsonl] is migrated into the shards on load.
+    cache directory — never contend on a single file.
 
     Crash durability: each record reaches the OS in one [O_APPEND]
     write as it is added (concurrent appends interleave at record
@@ -22,9 +21,6 @@ val default_dir : string
 
 val shard_count : int
 (** 16: one shard per leading hex digit of the job hash. *)
-
-val file_of : string -> string
-(** The legacy (pre-sharding) jsonl path inside a cache directory. *)
 
 val shard_file : string -> int -> string
 (** [shard_file dir i] — the jsonl path of shard [i]. *)
@@ -50,9 +46,8 @@ type t
 
 val load : ?dir:string -> ?flush_every:int -> salt:string -> unit -> t
 (** Load the cache: evict stale-salt entries, drop damaged lines,
-    migrate any legacy single-file records into their shards, and
-    repair every shard that lost or gained lines by atomic
-    compaction.  Fork-key records left by the removed snapshot/fork
+    re-home records found in the wrong shard, and repair every shard
+    that lost or gained lines by atomic compaction.  Fork-key records left by the removed snapshot/fork
     execution (a ["snap"] field, a ["fork:"] spec) load as ordinary
     entries under keys no spec hashes to, so they never hit. *)
 
@@ -78,8 +73,8 @@ val close : t -> unit
 val stats : t -> stats
 
 val clear : ?dir:string -> unit -> int
-(** Delete all shard files, the legacy file and any compaction temp
-    files; returns the number of intact entries removed. *)
+(** Delete all shard files and any compaction temp files; returns the
+    number of intact entries removed. *)
 
 type shard_stats = {
   sh_records : int;  (** intact entries in this shard file *)
@@ -89,7 +84,7 @@ type shard_stats = {
 
 type disk_stats = {
   path : string;  (** the cache directory *)
-  files : int;  (** jsonl files present (shards plus any legacy file) *)
+  files : int;  (** shard files present *)
   total : int;  (** intact entries on disk *)
   current : int;  (** entries under the given salt *)
   stale : int;  (** entries under any other salt *)
@@ -97,11 +92,10 @@ type disk_stats = {
   torn_tail : bool;  (** some file ends in an unterminated record *)
   bytes : int;
   per_shard : shard_stats array;
-      (** one slot per shard file; the legacy single file, when present,
-          counts toward the totals only.  Federated writers hash jobs
-          across shards, so the [cache stats --json] consumer (the CI
-          federated-cache verify step) can check the spread and pin
-          damage to a shard. *)
+      (** one slot per shard file; the totals sum them.  Federated
+          writers hash jobs across shards, so the [cache stats --json]
+          consumer (the CI federated-cache verify step) can check the
+          spread and pin damage to a shard. *)
 }
 
 val disk_stats : ?dir:string -> salt:string -> unit -> disk_stats

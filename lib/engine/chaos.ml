@@ -117,13 +117,13 @@ let attempt_fault ~key ~attempt =
    replies stall, and (rarely) the whole worker process dies mid-job.
    It is configured separately (DPMR_CHAOS_WIRE) because its blast
    radius is a *connection*, not an attempt — the recovery layer under
-   test is the dispatcher/client reconnect machinery, not the job
+   test is the dispatcher's re-dispatch and quarantine, not the job
    supervisor.  Decisions are pure in [(seed, key, attempt)] with the
    same burst rule, so a peer that retries [burst] times always gets
    clean service eventually and goldens stay byte-identical. *)
 
 type wire_action =
-  | Wire_stall of float  (** delay the response; straggler/hedge fodder *)
+  | Wire_stall of float  (** delay the response by under [max_delay] *)
   | Wire_torn  (** write a partial frame, then drop the connection *)
   | Wire_reset  (** drop the connection before replying *)
   | Wire_kill  (** the worker process dies mid-job ([_exit]) *)

@@ -58,12 +58,12 @@ val truncation : key:string -> len:int -> int option
     worker chaos because its blast radius is a connection: response
     frames are torn mid-write, connections reset, replies stall, and
     (rarely) the worker process dies mid-job.  The recovery layer under
-    test is the dispatcher / client-reconnect machinery.  The burst
+    test is the dispatcher's re-dispatch and quarantine.  The burst
     rule applies per peer-visible key, so retrying peers always reach
     clean service and goldens stay byte-identical. *)
 
 type wire_action =
-  | Wire_stall of float  (** delay the response; straggler/hedge fodder *)
+  | Wire_stall of float  (** delay the response by under [max_delay] *)
   | Wire_torn  (** write a partial frame, then drop the connection *)
   | Wire_reset  (** drop the connection before replying *)
   | Wire_kill  (** the worker process dies mid-job ([_exit]) *)

@@ -5,27 +5,26 @@
     classified and paced, and no failure schedule can abort a batch.
     The load-bearing invariant comes from content-addressed job
     identity: a job's cache key {e is} its meaning, so re-dispatching
-    it, racing two copies of it, or replaying it after a reconnect are
-    all safe — the first verdict gathered for a key wins and every
-    later one is discarded.
+    it, or a late remote verdict racing a local claim of it, is safe —
+    the first verdict gathered for a key wins and every later one is
+    discarded.
 
     Concurrency shape (per {!run}):
 
-    - [window] runner domains per host, each owning one connection and
+    - {!window} runner domains per host, each owning one connection and
       serving one chunk at a time — the bounded outstanding-window;
     - one prober domain per host heart-beating on its own connection,
       quarantining after consecutive misses and reviving on success;
     - the calling thread drives the gather loop: it drains chunks that
       must run locally (exhausted re-dispatch budgets, rejected specs,
-      all hosts dead), issues hedge duplicates against stragglers, and
-      declares the [min_workers] floor breached — the only path that
-      manufactures holes, and it still completes the batch.
+      all hosts dead) and declares the [min_workers] floor breached —
+      the only path that manufactures holes, and it still completes the
+      batch.
 
-    Work moves through one mutex-guarded state: a queue of chunk
-    entries, an in-flight list (for hedging), a local queue, and a
-    first-write-wins results array.  Runners park on a condition
-    variable while their host is quarantined; probers wake them on
-    revival. *)
+    Work moves through one mutex-guarded state: a queue of chunks, a
+    local queue, and a first-write-wins results array.  Runners park on
+    a condition variable while their host is quarantined; probers wake
+    them on revival. *)
 
 module Experiment = Dpmr_fi.Experiment
 
@@ -53,20 +52,16 @@ type transport = { connect : string -> conn }
 
 type policy = {
   base : Supervisor.policy;
-  window : int;
-  chunk_jobs : int;
-  hedge_after : float;
   quarantine_after : int;
   probe_period : float;
   min_workers : int;
 }
 
+let window = 4
+
 let default_policy =
   {
     base = Supervisor.default_policy;
-    window = 4;
-    chunk_jobs = 0;
-    hedge_after = 1.5;
     quarantine_after = 3;
     probe_period = 0.5;
     min_workers = 0;
@@ -79,7 +74,6 @@ type host_stats = {
   hs_completed : int;
   hs_jobs : int;
   hs_retried : int;
-  hs_hedged : int;
   hs_quarantined : int;
   hs_failures : int;
   hs_rtt_p50_ms : float;
@@ -90,14 +84,11 @@ type totals = {
   t_remote_jobs : int;
   t_local_jobs : int;
   t_holes : int;
-  t_hedges : int;
-  t_hedge_wins : int;
   t_requeues : int;
   t_duplicate_results : int;
 }
 
 type host = {
-  h_idx : int;
   h_addr : string;
   mutable h_healthy : bool;
   mutable h_consec : int;  (** consecutive connection-level failures *)
@@ -106,7 +97,6 @@ type host = {
   mutable h_completed : int;
   mutable h_jobs : int;
   mutable h_retried : int;
-  mutable h_hedged : int;
   mutable h_quarantined : int;
   mutable h_failures : int;
   mutable h_rtts : float list;
@@ -117,11 +107,7 @@ type host = {
 type chunk = {
   ck_items : (item * int) array;
   mutable ck_attempts : int;  (** re-dispatches consumed *)
-  mutable ck_hedged : bool;
-  mutable ck_hedge_won : bool;
 }
-
-type entry = { qe_chunk : chunk; qe_not_on : int option; qe_hedge : bool }
 
 (* Per-run gather state; host health and telemetry live on [t] and
    persist across the many batches of a campaign. *)
@@ -130,11 +116,9 @@ type run_state = {
   results : completed option array;
   localized : bool array;  (** claimed by a local batch in progress *)
   mutable remaining : int;
-  queue : entry Queue.t;
+  queue : chunk Queue.t;
   mutable localq : chunk list;
-  mutable inflight : (int * int * chunk * float) list;  (** token, host, chunk, t0 *)
   mutable conns : conn list;
-  mutable next_token : int;
   mutable stop : bool;
   mutable floor_breached : bool;
 }
@@ -147,8 +131,6 @@ type t = {
   work : Condition.t;
   mutable tot_local : int;
   mutable tot_holes : int;
-  mutable tot_hedges : int;
-  mutable tot_hedge_wins : int;
   mutable tot_requeues : int;
   mutable tot_dups : int;
   mutable running : bool;
@@ -161,14 +143,12 @@ let create ?(policy = default_policy) transport ~hosts =
   let policy =
     {
       policy with
-      window = max 1 policy.window;
       quarantine_after = max 1 policy.quarantine_after;
       probe_period = Float.max 0.05 policy.probe_period;
     }
   in
-  let mk i addr =
+  let mk addr =
     {
-      h_idx = i;
       h_addr = addr;
       h_healthy = true;
       h_consec = 0;
@@ -177,7 +157,6 @@ let create ?(policy = default_policy) transport ~hosts =
       h_completed = 0;
       h_jobs = 0;
       h_retried = 0;
-      h_hedged = 0;
       h_quarantined = 0;
       h_failures = 0;
       h_rtts = [];
@@ -186,13 +165,11 @@ let create ?(policy = default_policy) transport ~hosts =
   {
     transport;
     policy;
-    hosts = Array.of_list (List.mapi mk hosts);
+    hosts = Array.of_list (List.map mk hosts);
     mu = Mutex.create ();
     work = Condition.create ();
     tot_local = 0;
     tot_holes = 0;
-    tot_hedges = 0;
-    tot_hedge_wins = 0;
     tot_requeues = 0;
     tot_dups = 0;
     running = false;
@@ -200,17 +177,14 @@ let create ?(policy = default_policy) transport ~hosts =
 
 (* ---------------- chunking ---------------- *)
 
-(* Auto chunk size: enough chunks to keep every window slot busy a few
-   times over (so failures forfeit little work), but not so small that
-   framing dominates. *)
+(* Chunk size: enough chunks to keep every window slot busy a few times
+   over (so failures forfeit little work), but not so small that framing
+   dominates. *)
 let chunk_target t ~total_jobs =
-  if t.policy.chunk_jobs > 0 then t.policy.chunk_jobs
-  else
-    let slots = Array.length t.hosts * t.policy.window in
-    max 1 (min 24 (total_jobs / max 1 (slots * 4)))
+  let slots = Array.length t.hosts * window in
+  max 1 (min 24 (total_jobs / max 1 (slots * 4)))
 
-let mk_chunk ?(attempts = 0) items =
-  { ck_items = items; ck_attempts = attempts; ck_hedged = false; ck_hedge_won = false }
+let mk_chunk ?(attempts = 0) items = { ck_items = items; ck_attempts = attempts }
 
 let chunks_of_items t items =
   let all = Array.of_list (List.mapi (fun i it -> (it, i)) items) in
@@ -252,15 +226,14 @@ let requeue t rs host ck =
     t.tot_requeues <- t.tot_requeues + 1;
     host.h_retried <- host.h_retried + 1;
     if ck.ck_attempts > t.policy.base.max_retries then rs.localq <- ck :: rs.localq
-    else Queue.push { qe_chunk = ck; qe_not_on = None; qe_hedge = false } rs.queue;
+    else Queue.push ck rs.queue;
     Condition.broadcast t.work
   end
 
-let gather t rs host ~hedge ck replies rtt =
+let gather t rs host ck replies rtt =
   let items = ck.ck_items in
   let n = Array.length items in
   let share = if n = 0 then 0. else rtt /. float_of_int n in
-  let won = ref false in
   Array.iteri
     (fun k reply ->
       let it, gi = items.(k) in
@@ -269,8 +242,7 @@ let gather t rs host ~hedge ck replies rtt =
           if rs.results.(gi) = None then begin
             rs.results.(gi) <- Some (it, Done cls, share);
             rs.remaining <- rs.remaining - 1;
-            host.h_jobs <- host.h_jobs + 1;
-            won := true
+            host.h_jobs <- host.h_jobs + 1
           end
           else t.tot_dups <- t.tot_dups + 1
       | R_failed msg ->
@@ -292,40 +264,22 @@ let gather t rs host ~hedge ck replies rtt =
     replies;
   host.h_completed <- host.h_completed + 1;
   host.h_rtts <- rtt :: host.h_rtts;
-  if hedge && !won && not ck.ck_hedge_won then begin
-    ck.ck_hedge_won <- true;
-    t.tot_hedge_wins <- t.tot_hedge_wins + 1
-  end;
   Condition.broadcast t.work
 
 (* ---------------- runner domains ---------------- *)
 
-(* Pop the next chunk this host may serve: skip hedge entries excluded
-   from it and drop entries whose chunk already finished elsewhere.
-   Parks (condition wait) while the host is quarantined or the queue
-   holds nothing eligible. *)
-let rec take_entry t rs host =
+(* Pop the next unfinished chunk, dropping chunks already finished
+   elsewhere.  Parks (condition wait) while the host is quarantined or
+   the queue is empty. *)
+let rec take_chunk t rs host =
   if rs.stop then None
-  else if not host.h_healthy then begin
+  else if (not host.h_healthy) || Queue.is_empty rs.queue then begin
     Condition.wait t.work t.mu;
-    take_entry t rs host
+    take_chunk t rs host
   end
-  else begin
-    let n = Queue.length rs.queue in
-    let chosen = ref None in
-    for _ = 1 to n do
-      let e = Queue.pop rs.queue in
-      if !chosen <> None then Queue.push e rs.queue
-      else if chunk_done rs e.qe_chunk then ()
-      else if e.qe_not_on = Some host.h_idx then Queue.push e rs.queue
-      else chosen := Some e
-    done;
-    match !chosen with
-    | Some e -> Some e
-    | None ->
-        Condition.wait t.work t.mu;
-        take_entry t rs host
-  end
+  else
+    let ck = Queue.pop rs.queue in
+    if chunk_done rs ck then take_chunk t rs host else Some ck
 
 let runner t rs host =
   let conn = ref None in
@@ -348,19 +302,15 @@ let runner t rs host =
     conn := None
   in
   let rec loop () =
-    match Mutex.protect t.mu (fun () -> take_entry t rs host) with
+    match
+      Mutex.protect t.mu (fun () ->
+          let ck = take_chunk t rs host in
+          if Option.is_some ck then host.h_sent <- host.h_sent + 1;
+          ck)
+    with
     | None -> ()
-    | Some e ->
-        let ck = e.qe_chunk in
+    | Some ck ->
         let items = ck.ck_items in
-        let token =
-          Mutex.protect t.mu (fun () ->
-              host.h_sent <- host.h_sent + 1;
-              let tok = rs.next_token in
-              rs.next_token <- tok + 1;
-              rs.inflight <- (tok, host.h_idx, ck, now ()) :: rs.inflight;
-              tok)
-        in
         let t0 = now () in
         let outcome =
           try Ok ((get_conn ()).c_run_batch (Array.map fst items)) with
@@ -368,13 +318,11 @@ let runner t rs host =
           | ex -> Error (Printexc.to_string ex)
         in
         let rtt = now () -. t0 in
-        Mutex.protect t.mu (fun () ->
-            rs.inflight <- List.filter (fun (tk, _, _, _) -> tk <> token) rs.inflight);
         (match outcome with
         | Ok replies when Array.length replies = Array.length items ->
             Mutex.protect t.mu (fun () ->
                 note_success t host;
-                gather t rs host ~hedge:e.qe_hedge ck replies rtt)
+                gather t rs host ck replies rtt)
         | Ok _ ->
             (* arity desync: the stream can't be trusted any more *)
             drop_conn ();
@@ -503,28 +451,8 @@ let decide t rs =
     else begin
       (* every remote dead: the queue drains to local execution *)
       if healthy = 0 && all_probed then begin
-        Queue.iter
-          (fun e -> if not (chunk_done rs e.qe_chunk) then rs.localq <- e.qe_chunk :: rs.localq)
-          rs.queue;
+        Queue.iter (fun ck -> if not (chunk_done rs ck) then rs.localq <- ck :: rs.localq) rs.queue;
         Queue.clear rs.queue
-      end;
-      (* hedge stragglers when a second host could plausibly win *)
-      if t.policy.hedge_after > 0. && healthy >= 2 then begin
-        let tnow = now () in
-        List.iter
-          (fun (_, hidx, ck, t0) ->
-            if
-              (not ck.ck_hedged)
-              && tnow -. t0 > t.policy.hedge_after
-              && not (chunk_done rs ck)
-            then begin
-              ck.ck_hedged <- true;
-              t.tot_hedges <- t.tot_hedges + 1;
-              t.hosts.(hidx).h_hedged <- t.hosts.(hidx).h_hedged + 1;
-              Queue.push { qe_chunk = ck; qe_not_on = Some hidx; qe_hedge = true } rs.queue;
-              Condition.broadcast t.work
-            end)
-          rs.inflight
       end;
       match rs.localq with
       | [] -> D_wait
@@ -566,23 +494,19 @@ let run t ~local items =
         remaining = total;
         queue = Queue.create ();
         localq = [];
-        inflight = [];
         conns = [];
-        next_token = 0;
         stop = false;
         floor_breached = false;
       }
     in
     let idx_of_key = Hashtbl.create total in
     Array.iter (fun ((key, _), gi) -> Hashtbl.replace idx_of_key key gi) all;
-    List.iter
-      (fun ck -> Queue.push { qe_chunk = ck; qe_not_on = None; qe_hedge = false } rs.queue)
-      chunks;
+    List.iter (fun ck -> Queue.push ck rs.queue) chunks;
     Array.iter (fun h -> h.h_probed <- false) t.hosts;
     let domains = ref [] in
     Array.iter
       (fun h ->
-        for _ = 1 to t.policy.window do
+        for _ = 1 to window do
           domains := Domain.spawn (fun () -> runner t rs h) :: !domains
         done;
         domains := Domain.spawn (fun () -> prober t rs h) :: !domains)
@@ -640,7 +564,6 @@ let host_stats t =
                hs_completed = h.h_completed;
                hs_jobs = h.h_jobs;
                hs_retried = h.h_retried;
-               hs_hedged = h.h_hedged;
                hs_quarantined = h.h_quarantined;
                hs_failures = h.h_failures;
                hs_rtt_p50_ms = 1000. *. percentile 0.50 h.h_rtts;
@@ -654,8 +577,6 @@ let totals t =
         t_remote_jobs = Array.fold_left (fun a h -> a + h.h_jobs) 0 t.hosts;
         t_local_jobs = t.tot_local;
         t_holes = t.tot_holes;
-        t_hedges = t.tot_hedges;
-        t_hedge_wins = t.tot_hedge_wins;
         t_requeues = t.tot_requeues;
         t_duplicate_results = t.tot_dups;
       }
@@ -670,17 +591,17 @@ let summary_lines t =
   let hosts = host_stats t in
   let head =
     Printf.sprintf
-      "dispatch: %d host(s) (%d healthy), %d remote / %d local jobs, %d holes, %d requeues, %d hedges (%d won), %d dup results"
+      "dispatch: %d host(s) (%d healthy), %d remote / %d local jobs, %d holes, %d requeues, %d dup results"
       (List.length hosts) (healthy_hosts t) tot.t_remote_jobs tot.t_local_jobs tot.t_holes
-      tot.t_requeues tot.t_hedges tot.t_hedge_wins tot.t_duplicate_results
+      tot.t_requeues tot.t_duplicate_results
   in
   head
   :: List.map
        (fun h ->
          Printf.sprintf
-           "  %s [%s]: sent %d, completed %d, jobs %d, retried %d, hedged %d, quarantined %d, failures %d, rtt p50 %.1fms p95 %.1fms"
+           "  %s [%s]: sent %d, completed %d, jobs %d, retried %d, quarantined %d, failures %d, rtt p50 %.1fms p95 %.1fms"
            h.hs_addr
            (if h.hs_healthy then "healthy" else "quarantined")
-           h.hs_sent h.hs_completed h.hs_jobs h.hs_retried h.hs_hedged h.hs_quarantined
+           h.hs_sent h.hs_completed h.hs_jobs h.hs_retried h.hs_quarantined
            h.hs_failures h.hs_rtt_p50_ms h.hs_rtt_p95_ms)
        hosts

@@ -11,9 +11,10 @@
 
     Mechanisms (DESIGN.md §12):
 
-    - {b bounded windows} — each host serves at most [window] chunks
+    - {b bounded windows} — each host serves at most {!window} chunks
       concurrently, one per connection, so a slow host backlogs itself,
-      not the campaign;
+      not the campaign; chunks are sized from the batch and the host
+      count;
     - {b heartbeats} — a per-host prober pings on its own connection;
       consecutive misses quarantine the host, later successes revive it;
     - {b connection-level supervision} — the Supervisor's
@@ -21,10 +22,9 @@
       are re-dispatched with capped exponential backoff, and a host
       failing [quarantine_after] consecutive operations is quarantined
       while its in-flight work is re-dispatched elsewhere;
-    - {b hedging} — a chunk in flight longer than [hedge_after] is
-      duplicated to a second host; verdicts dedup first-result-wins by
-      job content hash, so duplicated execution is invisible (every job
-      is idempotent by construction);
+    - {b first-result-wins} — verdicts dedup by job content hash, so a
+      late remote verdict racing a local claim of the same job is
+      discarded (every job is idempotent by construction);
     - {b graceful degradation} — chunks that exhaust their re-dispatch
       budget, and whole campaigns whose remotes all died, fall back to
       local execution; below a [min_workers] floor of healthy hosts the
@@ -89,11 +89,6 @@ type policy = {
       (** the per-job supervision policy lifted to the connection level:
           [max_retries] bounds chunk re-dispatches, [backoff] /
           [backoff_max] pace a failing host's next attempt *)
-  window : int;  (** outstanding chunks (connections) per host *)
-  chunk_jobs : int;  (** target jobs per chunk; [0] = auto-size *)
-  hedge_after : float;
-      (** seconds in flight before a chunk is duplicated to a second
-          host; [0.] disables hedging *)
   quarantine_after : int;
       (** consecutive connection-level failures that quarantine a host *)
   probe_period : float;  (** heartbeat interval, seconds *)
@@ -104,14 +99,16 @@ type policy = {
 
 val default_policy : policy
 
+val window : int
+(** 4: outstanding chunks (connections) per host. *)
+
 type host_stats = {
   hs_addr : string;
   hs_healthy : bool;
-  hs_sent : int;  (** chunks dispatched (hedges included) *)
+  hs_sent : int;  (** chunks dispatched *)
   hs_completed : int;  (** chunks answered in full *)
   hs_jobs : int;  (** job verdicts this host won *)
   hs_retried : int;  (** chunks re-dispatched after this host failed *)
-  hs_hedged : int;  (** hedge duplicates issued against this host's stragglers *)
   hs_quarantined : int;  (** times quarantined *)
   hs_failures : int;  (** connection-level failures (probes included) *)
   hs_rtt_p50_ms : float;  (** over completed chunks; [0.] when none *)
@@ -122,8 +119,6 @@ type totals = {
   t_remote_jobs : int;
   t_local_jobs : int;  (** jobs that fell back to local execution *)
   t_holes : int;
-  t_hedges : int;  (** hedge duplicates issued *)
-  t_hedge_wins : int;  (** hedged chunks whose first verdict came from the duplicate *)
   t_requeues : int;  (** chunk re-dispatches *)
   t_duplicate_results : int;  (** verdicts discarded by first-result-wins dedup *)
 }

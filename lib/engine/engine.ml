@@ -5,9 +5,11 @@
 
     - deduplicates identical specs inside a batch and serves previously
       seen specs from the content-addressed result [Cache];
-    - executes the remaining jobs on a fixed pool of OCaml 5 domains
-      ([Pool]), each worker holding its own experiment contexts (programs
-      carry internal caches, so a [Prog.t] must never cross domains);
+    - executes the remaining jobs on the engine's one resident [Pool] of
+      OCaml 5 domains, started by the first batch and joined by {!close};
+      each worker keeps its own experiment contexts across batches
+      (programs carry internal caches, so a [Prog.t] must never cross
+      domains);
     - returns classifications keyed by input position, so output is
       byte-identical to the serial engine regardless of completion order
       or worker count;
@@ -18,15 +20,12 @@ module Experiment = Dpmr_fi.Experiment
 module Workloads = Dpmr_workloads.Workloads
 
 type t = {
-  jobs : int;
   salt : string;
   cache : Cache.t option;
   telemetry : Telemetry.t;
   supervisor : Supervisor.t;
   progress : bool;
-  pool : Pool.t option;
-      (** resident worker pool, reused across batches; [None] runs every
-          batch on transient domains (the historical behaviour) *)
+  pool : Pool.t;  (** resident worker pool, reused across batches *)
   dispatcher : Dispatch.t option;
       (** remote scatter/gather: cache misses go to resident workers
           over the wire instead of the local pool, with the local pool
@@ -36,21 +35,19 @@ type t = {
 let default_jobs () = Pool.default_size ()
 
 let create ?jobs ?(use_cache = true) ?(cache_dir = Cache.default_dir)
-    ?(salt = Job.default_salt) ?policy ?(progress = true) ?(resident = false) ?dispatcher () =
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
+    ?(salt = Job.default_salt) ?policy ?(progress = true) ?dispatcher () =
   let cache = if use_cache then Some (Cache.load ~dir:cache_dir ~salt ()) else None in
   {
-    jobs;
     salt;
     cache;
     telemetry = Telemetry.create ();
     supervisor = Supervisor.create ?policy ();
     progress;
-    pool = (if resident && jobs > 1 then Some (Pool.create ~size:jobs ()) else None);
+    pool = Pool.create ?size:jobs ();
     dispatcher;
   }
 
-let jobs t = t.jobs
+let jobs t = Pool.size t.pool
 let dispatcher t = t.dispatcher
 let telemetry t = t.telemetry
 let supervisor t = t.supervisor
@@ -66,14 +63,7 @@ let drain t = Option.iter Cache.flush t.cache
 let close t =
   Option.iter Cache.flush t.cache;
   Option.iter Cache.close t.cache;
-  Option.iter Pool.shutdown t.pool
-
-(* Batches go to the resident pool when there is one; otherwise to a
-   transient per-batch pool. *)
-let pool_map t ?progress f xs =
-  match t.pool with
-  | Some p -> Pool.map_on p ?progress f xs
-  | None -> Pool.map ?progress ~jobs:t.jobs f xs
+  Pool.shutdown t.pool
 
 (* ---------------- per-domain experiment contexts ---------------- *)
 
@@ -170,7 +160,7 @@ let run_specs_r t specs =
         in
         ((key, spec), outcome, Telemetry.now () -. t1)
       in
-      let run_local items = pool_map t ?progress:(progress_fn t (List.length items)) exec items in
+      let run_local items = Pool.map t.pool ?progress:(progress_fn t (List.length items)) exec items in
       let ran =
         match t.dispatcher with
         | None -> run_local to_run
@@ -228,7 +218,7 @@ let run_tasks t thunks =
   | _ ->
       let t0 = Telemetry.now () in
       let outs =
-        pool_map t
+        Pool.map t.pool
           (fun f ->
             let t1 = Telemetry.now () in
             let r = f () in
@@ -242,7 +232,7 @@ let run_tasks t thunks =
 (* ---------------- summary ---------------- *)
 
 let summary_lines t =
-  Telemetry.summary_lines t.telemetry ~workers:t.jobs ~cache:(cache_stats t)
+  Telemetry.summary_lines t.telemetry ~workers:(jobs t) ~cache:(cache_stats t)
     ~tier:(Dpmr_vm.Vm.tier_stats ())
     ?dispatch:t.dispatcher
 

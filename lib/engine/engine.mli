@@ -2,9 +2,11 @@
 
     Experiment drivers submit batches of [Job.spec]s; the engine dedups
     identical specs, serves known ones from the on-disk cache, runs the
-    rest on a fixed pool of OCaml 5 domains, and returns classifications
-    in input order — so output is byte-identical to a serial run
-    regardless of worker count. *)
+    rest on the engine's one resident pool of OCaml 5 domains, and
+    returns classifications in input order — so output is byte-identical
+    to a serial run regardless of worker count.  The pool's domains start
+    with the first batch and persist until {!close}; an engine with
+    [jobs = 1] runs every batch on the calling domain. *)
 
 module Experiment = Dpmr_fi.Experiment
 
@@ -20,7 +22,6 @@ val create :
   ?salt:string ->
   ?policy:Supervisor.policy ->
   ?progress:bool ->
-  ?resident:bool ->
   ?dispatcher:Dispatch.t ->
   unit ->
   t
@@ -29,13 +30,10 @@ val create :
     (directory [Cache.default_dir]); [salt] defaults to
     [Job.default_salt]; [policy] is the supervision policy (deadline /
     retry / backoff, default [Supervisor.default_policy]); [progress]
-    prints batch progress to stderr on long grids.  [resident] (default
-    [false]) keeps one worker pool alive across batches instead of
-    spawning domains per batch, so per-domain warmup (experiment
-    contexts, lowered programs) is paid once — the mode long-lived
-    embedders (the serving daemon, multi-figure reports) use.  A
-    resident engine must be {!close}d; its domains otherwise park
-    forever.  [dispatcher] scatters cache misses to remote workers
+    prints batch progress to stderr on long grids.  Creating an engine
+    spawns no domain; an engine with [jobs > 1] must be {!close}d once
+    it has run a batch, or its parked domains outlive it.  [dispatcher]
+    scatters cache misses to remote workers
     ([report all --workers]) with the local pool as the degradation
     path; the engine's cache, figures, and result ordering are
     unchanged. *)
@@ -57,8 +55,8 @@ val drain : t -> unit
     the daemon and of interrupted batch reports. *)
 
 val close : t -> unit
-(** [drain], close the cache channels, and shut down the resident pool
-    (if any), joining its domains. *)
+(** [drain], close the cache channels, and shut down the pool, joining
+    its domains.  No batch may run after [close]. *)
 
 val experiment_for : Job.spec -> Experiment.t
 (** The per-domain experiment context (golden run, budget, prepared

@@ -1,14 +1,12 @@
-(** Fixed-size domain worker pool with deterministic result ordering.
+(** Fixed-size resident domain worker pool with deterministic result
+    ordering.
 
-    Two modes share one execution core:
-
-    - the historical batch calls ({!map} / {!map_results}) spin up a
-      transient pool, run the batch, and join the domains;
-    - a {b resident} pool ({!create}) keeps its worker domains parked on
-      a condition variable between batches, so repeated batches — an
-      engine reused across figures, or a daemon serving requests — pay
-      domain spawn and per-domain warmup (DLS-cached experiment
-      contexts, lowered programs) once instead of per batch.
+    The worker domains are spawned by the first batch and then park on a
+    condition variable between batches, so repeated batches — an engine
+    reused across figures, or a daemon serving requests — pay domain
+    spawn and per-domain warmup (DLS-cached experiment contexts, lowered
+    programs) once.  A pool of size 1 never spawns: it runs each batch
+    on the calling domain.
 
     Workers pull tasks from a mutex-protected queue and write results
     into per-index slots, so the returned list is ordered by input
@@ -23,7 +21,7 @@ type t = {
   mu : Mutex.t;
   work : Condition.t;  (** signalled when a task is queued or on shutdown *)
   mutable stopping : bool;
-  mutable domains : unit Domain.t list;
+  mutable domains : unit Domain.t list;  (** [] until the first batch *)
 }
 
 let size t = t.size
@@ -46,32 +44,45 @@ let worker_loop t =
   loop ()
 
 let create ?(size = default_size ()) () =
-  let t =
-    {
-      size = max 1 size;
-      queue = Queue.create ();
-      mu = Mutex.create ();
-      work = Condition.create ();
-      stopping = false;
-      domains = [];
-    }
-  in
-  t.domains <- List.init t.size (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t
+  {
+    size = max 1 size;
+    queue = Queue.create ();
+    mu = Mutex.create ();
+    work = Condition.create ();
+    stopping = false;
+    domains = [];
+  }
 
 let shutdown t =
-  Mutex.protect t.mu (fun () ->
-      t.stopping <- true;
-      Condition.broadcast t.work);
-  List.iter Domain.join t.domains;
-  t.domains <- []
-
-(* ---------------- batch execution on a pool ---------------- *)
+  let domains =
+    Mutex.protect t.mu (fun () ->
+        t.stopping <- true;
+        Condition.broadcast t.work;
+        let ds = t.domains in
+        t.domains <- [];
+        ds)
+  in
+  List.iter Domain.join domains
 
 (* Tasks never let an exception escape into the worker loop: each slot
-   captures [Ok] or [Error (exn, backtrace)] and the batch waiter
-   re-raises (or not) on the calling domain. *)
-let run_batch t ?progress f xs =
+   captures [Ok] or [Error (exn, backtrace)] and the caller re-raises
+   (or not) on its own domain. *)
+let attempt f x =
+  try Ok (f x)
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Error (e, bt)
+
+let serial_batch ?progress f xs =
+  let n = List.length xs in
+  List.mapi
+    (fun i x ->
+      let r = attempt f x in
+      (match progress with Some p -> p ~done_:(i + 1) ~total:n | None -> ());
+      r)
+    xs
+
+let pooled_batch t ?progress f xs =
   let n = List.length xs in
   let input = Array.of_list xs in
   let results = Array.make n None in
@@ -79,20 +90,19 @@ let run_batch t ?progress f xs =
   let done_mu = Mutex.create () in
   let done_cond = Condition.create () in
   let task i () =
-    let r =
-      try Ok (f input.(i))
-      with e ->
-        let bt = Printexc.get_raw_backtrace () in
-        Error (e, bt)
-    in
     (* distinct slots: no lock needed for the write itself *)
-    results.(i) <- Some r;
+    results.(i) <- Some (attempt f input.(i));
     Mutex.protect done_mu (fun () ->
         incr completed;
         (match progress with Some p -> p ~done_:!completed ~total:n | None -> ());
         Condition.signal done_cond)
   in
   Mutex.protect t.mu (fun () ->
+      if t.stopping then invalid_arg "Pool.map: the pool is shut down";
+      (* the first batch starts the workers; holding [t.mu] makes this
+         safe against batches submitted concurrently from other domains *)
+      if t.domains = [] then
+        t.domains <- List.init t.size (fun _ -> Domain.spawn (fun () -> worker_loop t));
       for i = 0 to n - 1 do
         Queue.push (task i) t.queue
       done;
@@ -102,55 +112,15 @@ let run_batch t ?progress f xs =
         Condition.wait done_cond done_mu
       done);
   Array.to_list results
-  |> List.map (function
-       | Some r -> r
-       | None -> failwith "Pool.run_batch: missing result")
+  |> List.map (function Some r -> r | None -> failwith "Pool.map: missing result")
 
-let serial_batch ?progress f xs =
-  let n = List.length xs in
-  List.mapi
-    (fun i x ->
-      let r =
-        try Ok (f x)
-        with e ->
-          let bt = Printexc.get_raw_backtrace () in
-          Error (e, bt)
-      in
-      (match progress with Some p -> p ~done_:(i + 1) ~total:n | None -> ());
-      r)
-    xs
+let map_results t ?progress f xs =
+  match xs with
+  | [] -> []
+  | _ when t.size = 1 -> serial_batch ?progress f xs
+  | _ -> pooled_batch t ?progress f xs
 
-(** Batch on a resident pool.  Safe to call from several domains at
-    once: tasks interleave in one queue and each batch waits only on its
-    own completion counter. *)
-let map_results_on t ?progress f xs =
-  if xs = [] then [] else run_batch t ?progress f xs
-
-let map_on t ?progress f xs =
+let map t ?progress f xs =
   List.map
-    (function
-      | Ok r -> r
-      | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-    (map_results_on t ?progress f xs)
-
-(* ---------------- transient (historical) interface ---------------- *)
-
-let map_results ?progress ~jobs f xs =
-  let n = List.length xs in
-  let jobs = max 1 (min jobs n) in
-  if jobs <= 1 then serial_batch ?progress f xs
-  else begin
-    let t = create ~size:jobs () in
-    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> run_batch t ?progress f xs)
-  end
-
-(* One job raising no longer discards the other N−1 results: callers
-   that can degrade per-slot use [map_results]; [map] keeps the
-   raise-on-first-error contract but now rethrows on the joining domain
-   with the worker's backtrace attached. *)
-let map ?progress ~jobs f xs =
-  List.map
-    (function
-      | Ok r -> r
-      | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-    (map_results ?progress ~jobs f xs)
+    (function Ok r -> r | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+    (map_results t ?progress f xs)

@@ -1,69 +1,52 @@
-(** Fixed-size domain worker pool with deterministic result ordering.
+(** Fixed-size resident domain worker pool with deterministic result
+    ordering.
 
-    Batches either spin up a transient pool per call ({!map},
-    {!map_results}) or run on a {b resident} pool ({!create}) whose
-    worker domains park between batches — the mode the engine and the
-    serving daemon use so per-domain warmup (DLS-cached experiment
-    contexts, lowered programs) survives from one batch to the next. *)
+    A pool's worker domains start with its first batch and park between
+    batches until {!shutdown}, so per-domain warmup (DLS-cached
+    experiment contexts, lowered programs) is paid once per pool.  A
+    pool of size 1 spawns no domain: its batches run on the calling
+    domain. *)
 
 val default_size : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
 type t
-(** A resident pool: [size] worker domains pulling from one queue. *)
+(** [size] worker domains pulling from one queue. *)
 
 val create : ?size:int -> unit -> t
-(** Spawn the worker domains (default {!default_size}, minimum 1). *)
+(** A pool of [size] workers (default {!default_size}, minimum 1).
+    Spawns nothing: the workers start with the first batch. *)
 
 val size : t -> int
 
 val shutdown : t -> unit
-(** Drain the queue, stop the workers and join their domains.
-    Idempotent only in the sense that a second call joins nothing. *)
-
-val map_results_on :
-  t ->
-  ?progress:(done_:int -> total:int -> unit) ->
-  ('a -> 'b) ->
-  'a list ->
-  ('b, exn * Printexc.raw_backtrace) result list
-(** Run one batch on a resident pool; same slot/ordering/error contract
-    as {!map_results}.  Thread-safe: batches submitted concurrently from
-    several domains interleave in the queue, and each caller blocks only
-    on its own completion count. *)
-
-val map_on :
-  t ->
-  ?progress:(done_:int -> total:int -> unit) ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
-(** {!map_results_on} with the raise-on-first-error contract of {!map}. *)
+(** Stop the workers once the queue drains and join their domains.
+    Idempotent.  A later batch on a pool of size > 1 raises
+    [Invalid_argument]. *)
 
 val map_results :
+  t ->
   ?progress:(done_:int -> total:int -> unit) ->
-  jobs:int ->
   ('a -> 'b) ->
   'a list ->
   ('b, exn * Printexc.raw_backtrace) result list
-(** [map_results ~jobs f xs] applies [f] to every element using [jobs]
-    worker domains (clamped to [1 .. length xs]); the i-th slot holds
-    the i-th element's result regardless of completion order.  A raising
-    job yields [Error (exn, backtrace)] in its own slot and never
-    discards the other slots — the property the campaign supervisor
-    builds on.  [jobs <= 1] degenerates to a plain sequential map with
-    no domain spawned.  [f] must not share mutable state across calls —
-    in particular it must not touch a [Prog.t] built outside itself
-    (programs carry internal caches).  [progress] is called under the
-    pool lock after each completion. *)
+(** [map_results t f xs] applies [f] to every element on the pool's
+    workers; the i-th slot holds the i-th element's result regardless of
+    completion order.  A raising job yields [Error (exn, backtrace)] in
+    its own slot and never discards the other slots — the property the
+    campaign supervisor builds on.  [f] must not share mutable state
+    across calls — in particular it must not touch a [Prog.t] built
+    outside itself (programs carry internal caches).  Thread-safe:
+    batches submitted concurrently from several domains interleave in
+    the queue, and each caller blocks only on its own completion count.
+    [progress] is called after each completion, never concurrently. *)
 
 val map :
+  t ->
   ?progress:(done_:int -> total:int -> unit) ->
-  jobs:int ->
   ('a -> 'b) ->
   'a list ->
   'b list
-(** [map_results] with the historical contract: after all workers
-    finish, the first error in input order is re-raised on the joining
-    domain with the worker's backtrace preserved
+(** {!map_results}, then the first error in input order is re-raised on
+    the calling domain with the worker's backtrace preserved
     ([Printexc.raise_with_backtrace]). *)

@@ -179,20 +179,18 @@ let to_json ?(tier = (0, 0)) ?dispatch t ~workers
   | Some d ->
       let tot = Dispatch.totals d in
       add
-        "  \"dispatch\": { \"remote_jobs\": %d, \"local_jobs\": %d, \"holes\": %d, \"hedges\": %d, \"hedge_wins\": %d, \"requeues\": %d, \"duplicate_results\": %d, \"hosts\": ["
+        "  \"dispatch\": { \"remote_jobs\": %d, \"local_jobs\": %d, \"holes\": %d, \"requeues\": %d, \"duplicate_results\": %d, \"hosts\": ["
         tot.Dispatch.t_remote_jobs tot.Dispatch.t_local_jobs tot.Dispatch.t_holes
-        tot.Dispatch.t_hedges tot.Dispatch.t_hedge_wins tot.Dispatch.t_requeues
-        tot.Dispatch.t_duplicate_results;
+        tot.Dispatch.t_requeues tot.Dispatch.t_duplicate_results;
       List.iteri
         (fun i (h : Dispatch.host_stats) ->
           if i > 0 then add ", ";
           add
-            "{ \"addr\": \"%s\", \"healthy\": %b, \"sent\": %d, \"completed\": %d, \"jobs\": %d, \"retried\": %d, \"hedged\": %d, \"quarantined\": %d, \"failures\": %d, \"rtt_p50_ms\": %.2f, \"rtt_p95_ms\": %.2f }"
+            "{ \"addr\": \"%s\", \"healthy\": %b, \"sent\": %d, \"completed\": %d, \"jobs\": %d, \"retried\": %d, \"quarantined\": %d, \"failures\": %d, \"rtt_p50_ms\": %.2f, \"rtt_p95_ms\": %.2f }"
             (Dpmr_trace.Export.escaped h.Dispatch.hs_addr)
             h.Dispatch.hs_healthy h.Dispatch.hs_sent h.Dispatch.hs_completed
-            h.Dispatch.hs_jobs h.Dispatch.hs_retried h.Dispatch.hs_hedged
-            h.Dispatch.hs_quarantined h.Dispatch.hs_failures h.Dispatch.hs_rtt_p50_ms
-            h.Dispatch.hs_rtt_p95_ms)
+            h.Dispatch.hs_jobs h.Dispatch.hs_retried h.Dispatch.hs_quarantined
+            h.Dispatch.hs_failures h.Dispatch.hs_rtt_p50_ms h.Dispatch.hs_rtt_p95_ms)
         (Dispatch.host_stats d);
       add "] },\n");
   let tr = t.trace in

@@ -5,40 +5,23 @@
     response, so a desynchronized stream fails loudly instead of
     mis-attributing verdicts.
 
-    Connection loss no longer has to end the session: a client created
-    with [~reconnect:n] re-establishes the socket up to [n] times per
-    operation, pacing attempts with the Supervisor's capped exponential
-    backoff + deterministic jitter, and retransmits the request.
-    Retransmission is safe by construction — every request is
-    content-addressed and idempotent, and a reconnect discards the old
-    socket wholesale so no stale response can be mis-attributed.  The
-    default stays [reconnect = 0] (fail fast): the remote dispatcher
-    wants the failure signal for its own quarantine accounting. *)
-
-module Supervisor = Dpmr_engine.Supervisor
+    A failed operation drops the socket and raises; the next operation
+    connects afresh.  The client never retries on its own: the remote
+    dispatcher is the one retry layer, and it wants every failure for
+    its quarantine accounting. *)
 
 type endpoint = Unix_ep of string | Tcp_ep of string * int
-
-let endpoint_name = function
-  | Unix_ep p -> "unix:" ^ p
-  | Tcp_ep (h, p) -> Printf.sprintf "%s:%d" h p
 
 type t = {
   endpoint : endpoint;
   mutable fd : Unix.file_descr option;
   mutable next_rid : int;
-  reconnect : int;  (** extra connection attempts per operation *)
   timeout : float;  (** per-socket send/receive timeout; [0.] = none *)
 }
 
-(* Reconnect pacing: same discipline as job retries, scaled for sockets
-   (10 ms base, capped at 1 s). *)
-let reconnect_policy =
-  { Supervisor.deadline = None; max_retries = 0; backoff = 0.01; backoff_max = 1.0 }
-
 let establish endpoint timeout =
   (* a peer may die between our frames; that must surface as EPIPE (a
-     reconnectable Unix_error), not terminate the process *)
+     Unix_error), not terminate the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let fd =
     match endpoint with
@@ -69,13 +52,12 @@ let establish endpoint timeout =
   end;
   fd
 
-let connect ?(reconnect = 0) ?(timeout = 0.) endpoint =
+let connect ?(timeout = 0.) endpoint =
   (* eager connect: callers expect an unreachable server to fail here *)
-  { endpoint; fd = Some (establish endpoint timeout); next_rid = 1; reconnect; timeout }
+  { endpoint; fd = Some (establish endpoint timeout); next_rid = 1; timeout }
 
-let connect_unix ?reconnect ?timeout path = connect ?reconnect ?timeout (Unix_ep path)
-let connect_tcp ?reconnect ?timeout host port =
-  connect ?reconnect ?timeout (Tcp_ep (host, port))
+let connect_unix ?timeout path = connect ?timeout (Unix_ep path)
+let connect_tcp ?timeout host port = connect ?timeout (Tcp_ep (host, port))
 
 let drop t =
   (match t.fd with
@@ -100,24 +82,13 @@ let ensure t =
       t.fd <- Some fd;
       fd
 
-(* One operation with the reconnect loop around it: any transport-level
-   failure tears the socket down and (budget permitting) re-establishes
-   and retransmits. *)
-let with_retry t op =
-  let rec go attempt =
-    match op () with
-    | r -> r
-    | exception ((Protocol.Closed | Unix.Unix_error _ | Sys_error _ | Failure _) as e) ->
-        drop t;
-        if attempt >= t.reconnect then raise e
-        else begin
-          Unix.sleepf
-            (Supervisor.backoff_delay reconnect_policy
-               ~key:(endpoint_name t.endpoint) ~attempt);
-          go (attempt + 1)
-        end
-  in
-  go 0
+(* One operation: any transport-level failure tears the socket down, so
+   no stale response can be mis-attributed to a later request. *)
+let guarded t op =
+  try op ()
+  with (Protocol.Closed | Unix.Unix_error _ | Sys_error _ | Failure _) as e ->
+    drop t;
+    raise e
 
 let fresh_rid t =
   let rid = t.next_rid in
@@ -140,11 +111,10 @@ let read_reply fd ~rid =
           (resp.Protocol.reply, Protocol.decode_response_index payload))
 
 (** Send one request body; blocks for the matching response and returns
-    its reply.  Raises [Protocol.Closed] if the server hung up (after
-    exhausting any reconnect budget) and [Failure] on a malformed or
-    mismatched response. *)
+    its reply.  Raises [Protocol.Closed] if the server hung up and
+    [Failure] on a malformed or mismatched response. *)
 let call t body =
-  with_retry t (fun () ->
+  guarded t (fun () ->
       let fd = ensure t in
       let rid = fresh_rid t in
       Protocol.write_frame fd (Protocol.encode_request { Protocol.rid; body });
@@ -158,7 +128,7 @@ let run_batch t params =
   match params with
   | [] -> []
   | _ ->
-      with_retry t (fun () ->
+      guarded t (fun () ->
           let fd = ensure t in
           let rid = fresh_rid t in
           let n = List.length params in

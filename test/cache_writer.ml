@@ -8,6 +8,7 @@
 
 module Experiment = Dpmr_fi.Experiment
 module Cache = Dpmr_engine.Cache
+module Chaos = Dpmr_engine.Chaos
 
 let salt = "test-salt/concurrent"
 
@@ -29,6 +30,9 @@ let () =
   let dir = Sys.argv.(1) in
   let writer = int_of_string Sys.argv.(2) in
   let n = int_of_string Sys.argv.(3) in
+  (* the test verifies every record intact: no torn appends here, even
+     when DPMR_CHAOS is inherited from the test run *)
+  Chaos.with_chaos None @@ fun () ->
   let c = Cache.load ~dir ~flush_every:7 ~salt () in
   for i = 0 to n - 1 do
     Cache.add c ~key:(key_of ~writer i)

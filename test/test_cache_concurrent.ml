@@ -6,12 +6,12 @@
      load sees the union of both writers;
    - two domains of one process hammering one [Cache.t]: adds and
      lookups stay consistent under the per-shard locks;
-   - sharding invariants: keys land in their hash shard, and a legacy
-     single-file cache migrates into shards on load. *)
+   - sharding invariant: keys land in their hash shard. *)
 
 module Experiment = Dpmr_fi.Experiment
 module Cache = Dpmr_engine.Cache
 module Job = Dpmr_engine.Job
+module Chaos = Dpmr_engine.Chaos
 
 let salt = "test-salt/concurrent"
 
@@ -36,7 +36,11 @@ let cls i =
 (* distinct, hash-shaped keys: 16 hex digits, spread over all shards *)
 let key_of ~writer i = Printf.sprintf "%x%07x%08x" (i mod 16) writer i
 
+(* chaos is pinned off in the fixture writers: these tests assert that
+   no record is torn, which deliberate torn-append injection would
+   defeat (torn writes are covered in test_engine) *)
 let writer_loop dir ~writer ~n =
+  Chaos.with_chaos None @@ fun () ->
   let c = Cache.load ~dir ~flush_every:7 ~salt () in
   for i = 0 to n - 1 do
     Cache.add c ~key:(key_of ~writer i)
@@ -93,9 +97,10 @@ let test_two_domains_one_cache () =
       ignore (Cache.find c (key_of ~writer:(1 - writer) i))
     done
   in
-  let d = Domain.spawn (worker 1) in
-  worker 0 ();
-  Domain.join d;
+  Chaos.with_chaos None (fun () ->
+      let d = Domain.spawn (worker 1) in
+      worker 0 ();
+      Domain.join d);
   Alcotest.(check int) "all adds visible" (2 * n) (Cache.entries c);
   Cache.close c;
   let s = Cache.disk_stats ~dir ~salt () in
@@ -125,47 +130,6 @@ let test_shard_placement () =
          find 0))
     [ ("0aaaaaaaaaaaaaaa", 0); ("7bbbbbbbbbbbbbbb", 7); ("fccccccccccccccc", 15) ]
 
-let test_legacy_migration () =
-  in_tmp_dir @@ fun dir ->
-  (* write records through the current code, then concatenate every
-     shard into a single legacy results.jsonl — the pre-sharding layout *)
-  let keys = List.init 32 (fun i -> key_of ~writer:9 i) in
-  let c = Cache.load ~dir ~salt () in
-  List.iteri (fun i k -> Cache.add c ~key:k ~spec_repr:"m" (cls i)) keys;
-  Cache.close c;
-  let legacy = Buffer.create 4096 in
-  for i = 0 to Cache.shard_count - 1 do
-    let path = Cache.shard_file dir i in
-    if Sys.file_exists path then begin
-      let ic = open_in_bin path in
-      Buffer.add_string legacy (really_input_string ic (in_channel_length ic));
-      close_in ic;
-      Sys.remove path
-    end
-  done;
-  let oc = open_out_bin (Cache.file_of dir) in
-  Buffer.output_buffer oc legacy;
-  close_out oc;
-  (* loading migrates every record into its shard and retires the file *)
-  let c = Cache.load ~dir ~salt () in
-  Alcotest.(check int) "all legacy records loaded" (List.length keys)
-    (Cache.entries c);
-  Cache.close c;
-  Alcotest.(check bool) "legacy file retired" false
-    (Sys.file_exists (Cache.file_of dir));
-  let s = Cache.disk_stats ~dir ~salt () in
-  Alcotest.(check int) "records re-homed intact" (List.length keys) s.Cache.total;
-  Alcotest.(check int) "no damage from migration" 0 s.Cache.damaged;
-  List.iter
-    (fun i ->
-      let k = List.nth keys i in
-      let c = Cache.load ~dir ~salt () in
-      (match Cache.find c k with
-      | Some got when got = cls i -> ()
-      | _ -> Alcotest.failf "legacy record %s lost or wrong" k);
-      Cache.close c)
-    [ 0; 31 ]
-
 let suites =
   [
     ( "cache/concurrent",
@@ -174,7 +138,5 @@ let suites =
         Alcotest.test_case "two domains, one cache" `Quick test_two_domains_one_cache;
         Alcotest.test_case "records land in their hash shard" `Quick
           test_shard_placement;
-        Alcotest.test_case "legacy single-file cache migrates" `Quick
-          test_legacy_migration;
       ] );
   ]

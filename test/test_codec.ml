@@ -324,6 +324,8 @@ let test_wire_range_errors () =
       (replace ~sub:"\"cseed\":42" ~by:"\"cseed\":42,\"replicas\":0" pinned_default_frame, "1..64");
       (replace ~sub:"no-diversity" ~by:"pad-malloc--64" pinned_default_frame, ">= 0");
       (replace ~sub:"no-diversity" ~by:"pad-alloca--1" pinned_default_frame, ">= 0");
+      (replace ~sub:"no-diversity" ~by:"pad-malloc-1000000000" pinned_default_frame, "<= 65536");
+      (replace ~sub:"no-diversity" ~by:"pad-alloca-65537" pinned_default_frame, "<= 65536");
       (replace ~sub:"all-loads" ~by:"static-0x1.8p+1" pinned_default_frame, "[0,1]");
       (replace ~sub:"all-loads" ~by:"static-nan" pinned_default_frame, "[0,1]");
       (replace ~sub:"all-loads" ~by:"static--0x1p-1" pinned_default_frame, "[0,1]");
@@ -401,6 +403,10 @@ let test_cli_range_errors () =
       ([ "run"; "art"; "--replicas"; "0" ], "1..64");
       ([ "run"; "mcf"; "--diversity"; "pad--64" ], ">= 0");
       ([ "run"; "mcf"; "--diversity"; "pad-malloc--64" ], ">= 0");
+      (* were the ceiling lost, this pad would grow the simulated heap
+         until the host ran out of memory *)
+      ([ "run"; "mcf"; "--diversity"; "pad-malloc-1000000000" ], "<= 65536");
+      ([ "run"; "mcf"; "--diversity"; "pad-stack-65537" ], "<= 65536");
       ([ "run"; "art"; "--policy"; "static-150" ], "[0,1]");
       ([ "run"; "art"; "--policy"; "static-0x1.8p+1" ], "[0,1]");
       ([ "run"; "art"; "--diversity"; "pad-malloc-16"; "--policy"; "static-nan" ], "[0,1]");
@@ -413,20 +419,33 @@ let test_cli_range_errors () =
 let mcf = lazy ((Workloads.find "mcf").Workloads.build ~scale:1 ())
 let mcf_golden = lazy (Dpmr.run_plain ~seed:42L (Lazy.force mcf))
 
+let pad_cfg mode n ~stack =
+  let diversity = if stack then Config.Pad_alloca n else Config.Pad_malloc n in
+  { Config.default with Config.mode; diversity }
+
+let runs_error_free cfg =
+  let r = Dpmr.run_dpmr ~seed:42L cfg (Lazy.force mcf) in
+  r.Outcome.outcome = Outcome.Normal
+  && r.Outcome.output = (Lazy.force mcf_golden).Outcome.output
+
 let prop_pads_error_free =
   QCheck.Test.make ~name:"codec: every in-range pad runs mcf error-free" ~count:24
     (QCheck.make
        ~print:(fun c -> Config.name c)
-       QCheck.Gen.(
-         map3
-           (fun mode n stack ->
-             let diversity = if stack then Config.Pad_alloca n else Config.Pad_malloc n in
-             { Config.default with Config.mode; diversity })
-           gen_mode (int_range 0 64) bool))
-    (fun cfg ->
-      let r = Dpmr.run_dpmr ~seed:42L cfg (Lazy.force mcf) in
-      r.Outcome.outcome = Outcome.Normal
-      && r.Outcome.output = (Lazy.force mcf_golden).Outcome.output)
+       QCheck.Gen.(map3 (fun mode n stack -> pad_cfg mode n ~stack) gen_mode (int_range 0 64) bool))
+    runs_error_free
+
+(* the fixed case at the top of the range, under both modes *)
+let test_max_pad_error_free () =
+  Alcotest.(check int) "the ceiling" 65536 Config.max_pad;
+  List.iter
+    (fun (mode, stack) ->
+      let cfg = pad_cfg mode Config.max_pad ~stack in
+      Alcotest.(check bool) (Config.name cfg ^ " runs mcf error-free") true (runs_error_free cfg);
+      Alcotest.(check bool) (Config.name cfg ^ " parses") true
+        (Config.diversity_of_name (Config.diversity_name cfg.Config.diversity)
+        = Ok cfg.Config.diversity))
+    [ (Config.Sds, false); (Config.Mds, false); (Config.Sds, true); (Config.Mds, true) ]
 
 let suites =
   [
@@ -442,5 +461,6 @@ let suites =
       ] );
     ( "codec-properties",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_config_round_trip; prop_kind_round_trip; prop_repr_injective; prop_pads_error_free ] );
+        [ prop_config_round_trip; prop_kind_round_trip; prop_repr_injective; prop_pads_error_free ]
+      @ [ Alcotest.test_case "codec: max_pad runs mcf error-free" `Quick test_max_pad_error_free ] );
   ]

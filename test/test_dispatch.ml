@@ -1,8 +1,7 @@
 (* Remote-dispatch tests (lib/engine/dispatch + lib/server/remote):
    the failover matrix against a deterministic fake transport — happy
    path, failover with quarantine, all-remotes-dead local fallback,
-   min-workers floor holes, remote job failures vs rejections, hedging
-   with first-result-wins — plus end-to-end campaigns against real
+   min-workers floor holes, remote job failures vs rejections — plus end-to-end campaigns against real
    in-process daemons: multi-worker scatter equal to a local run, a
    worker draining mid-campaign, and wire chaos on the serving path. *)
 
@@ -95,9 +94,6 @@ let fast_policy =
   {
     Dispatch.base =
       { Supervisor.deadline = None; max_retries = 3; backoff = 0.001; backoff_max = 0.004 };
-    window = 2;
-    chunk_jobs = 2;
-    hedge_after = 0.;
     quarantine_after = 3;
     probe_period = 0.02;
     min_workers = 0;
@@ -234,21 +230,6 @@ let test_remote_reject_runs_locally () =
   Alcotest.(check int) "rejected job ran locally" 1 (Atomic.get local_count);
   Alcotest.(check int) "rejected job billed local" 1 (Dispatch.totals t).Dispatch.t_local_jobs
 
-let test_hedging_first_result_wins () =
-  (* w0 sits on every chunk for a second; hedges onto w1 must win and
-     the stragglers' late verdicts must dedup, not double-count *)
-  let hosts = [ ("w0", fake ~stall:1.0 ()); ("w1", fake ~stall:0.02 ()) ] in
-  let policy =
-    { fast_policy with Dispatch.chunk_jobs = 1; hedge_after = 0.05; window = 2 }
-  in
-  let items = items 8 in
-  let t, out = run_fake ~policy hosts items in
-  check_all_done "hedge" items out;
-  let tot = Dispatch.totals t in
-  Alcotest.(check bool) "hedges issued" true (tot.Dispatch.t_hedges >= 1);
-  Alcotest.(check bool) "a hedge won" true (tot.Dispatch.t_hedge_wins >= 1);
-  Alcotest.(check int) "no holes" 0 tot.Dispatch.t_holes
-
 (* ---- end-to-end against real in-process daemons ---- *)
 
 let in_tmp_dir f =
@@ -260,7 +241,7 @@ let in_tmp_dir f =
   Fun.protect ~finally:(fun () -> Sys.chdir cwd) (fun () -> f dir)
 
 let boot_server dir name =
-  let engine = Engine.create ~jobs:2 ~use_cache:false ~resident:true () in
+  let engine = Engine.create ~jobs:2 ~use_cache:false () in
   let sock = Filename.concat dir (name ^ ".sock") in
   let cfg = { Server.default_config with Server.listen = Server.Unix_sock sock } in
   let t = Server.create ~cfg engine in
@@ -307,8 +288,6 @@ let dispatch_policy =
     Dispatch.default_policy with
     Dispatch.base =
       { Supervisor.default_policy with Supervisor.backoff = 0.002; backoff_max = 0.02 };
-    window = 2;
-    chunk_jobs = 2;
     probe_period = 0.05;
     quarantine_after = 2;
   }
@@ -418,8 +397,6 @@ let suites =
         Alcotest.test_case "remote failure is a hole" `Quick test_remote_failed_is_hole;
         Alcotest.test_case "remote reject runs locally" `Quick
           test_remote_reject_runs_locally;
-        Alcotest.test_case "hedging: first result wins" `Quick
-          test_hedging_first_result_wins;
       ] );
     ( "dispatch/e2e",
       [

@@ -148,33 +148,68 @@ let test_classify_normal_correct () =
 
 (* ---- pool ---- *)
 
+let with_pool size f =
+  let p = Pool.create ~size () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
+
 let test_pool_order_and_exception () =
   let xs = List.init 64 Fun.id in
-  Alcotest.(check (list int)) "results in input order"
-    (List.map (fun x -> x * x) xs)
-    (Pool.map ~jobs:4 (fun x -> x * x) xs);
-  Alcotest.check_raises "exception re-raised" Exit (fun () ->
-      ignore (Pool.map ~jobs:3 (fun x -> if x = 5 then raise Exit else x) xs))
+  with_pool 4 (fun p ->
+      Alcotest.(check (list int)) "results in input order"
+        (List.map (fun x -> x * x) xs)
+        (Pool.map p (fun x -> x * x) xs);
+      Alcotest.check_raises "exception re-raised" Exit (fun () ->
+          ignore (Pool.map p (fun x -> if x = 5 then raise Exit else x) xs));
+      (* the pool survives a raising batch *)
+      Alcotest.(check (list int)) "next batch still served" [ 1; 2; 3 ]
+        (Pool.map p succ [ 0; 1; 2 ]))
 
 let test_pool_map_results_per_slot () =
   (* one element failing keeps every other slot's result; the failing
      slot carries the exception instead of poisoning the batch *)
   List.iter
-    (fun jobs ->
-      let xs = List.init 16 Fun.id in
-      let rs = Pool.map_results ~jobs (fun x -> if x mod 5 = 3 then raise Exit else x * 2) xs in
-      Alcotest.(check int) "one result per input" 16 (List.length rs);
-      List.iteri
-        (fun i r ->
-          match r with
-          | Ok v ->
-              Alcotest.(check bool) "slot should have failed" true (i mod 5 <> 3);
-              Alcotest.(check int) "value" (i * 2) v
-          | Error (e, _bt) ->
-              Alcotest.(check bool) "slot should have succeeded" true (i mod 5 = 3);
-              Alcotest.(check bool) "original exception kept" true (e = Exit))
-        rs)
+    (fun size ->
+      with_pool size (fun p ->
+          let xs = List.init 16 Fun.id in
+          let rs = Pool.map_results p (fun x -> if x mod 5 = 3 then raise Exit else x * 2) xs in
+          Alcotest.(check int) "one result per input" 16 (List.length rs);
+          List.iteri
+            (fun i r ->
+              match r with
+              | Ok v ->
+                  Alcotest.(check bool) "slot should have failed" true (i mod 5 <> 3);
+                  Alcotest.(check int) "value" (i * 2) v
+              | Error (e, _bt) ->
+                  Alcotest.(check bool) "slot should have succeeded" true (i mod 5 = 3);
+                  Alcotest.(check bool) "original exception kept" true (e = Exit))
+            rs))
     [ 1; 4 ]
+
+(* Two batches of two barrier tasks on a two-domain engine: each task
+   waits until both are running, so each batch occupies both workers,
+   and both batches must see the same two domains — the pool is started
+   once and kept, not spawned per batch. *)
+let test_worker_domains_persist () =
+  let engine = Engine.create ~jobs:2 ~use_cache:false ~progress:false () in
+  Fun.protect ~finally:(fun () -> Engine.close engine) @@ fun () ->
+  let batch () =
+    let arrived = Atomic.make 0 in
+    let task () =
+      Atomic.incr arrived;
+      let t0 = Unix.gettimeofday () in
+      while Atomic.get arrived < 2 && Unix.gettimeofday () -. t0 < 10. do
+        Domain.cpu_relax ()
+      done;
+      (Domain.self () :> int)
+    in
+    List.sort_uniq compare (Engine.run_tasks engine [ task; task ])
+  in
+  let first = batch () in
+  let second = batch () in
+  Alcotest.(check int) "a batch spans both workers" 2 (List.length first);
+  Alcotest.(check bool) "workers are not the calling domain" false
+    (List.mem (Domain.self () :> int) first);
+  Alcotest.(check (list int)) "same worker domains across batches" first second
 
 (* ---- determinism guard: serial vs multi-domain ---- *)
 
@@ -187,6 +222,7 @@ let test_parallel_determinism () =
   let parallel = Engine.create ~jobs:4 ~use_cache:false ~progress:false () in
   let a = Engine.run_specs serial specs in
   let b = Engine.run_specs parallel specs in
+  Engine.close parallel;
   Alcotest.(check (list string)) "serial and 4-domain runs byte-identical"
     (lines_of a) (lines_of b)
 
@@ -525,6 +561,8 @@ let suites =
           test_pool_order_and_exception;
         Alcotest.test_case "pool: per-slot results survive a failing slot" `Quick
           test_pool_map_results_per_slot;
+        Alcotest.test_case "engine: worker domains persist across batches" `Quick
+          test_worker_domains_persist;
         Alcotest.test_case "determinism: serial vs 4 domains" `Quick
           test_parallel_determinism;
         Alcotest.test_case "engine: mixed batch = serial run_variant" `Quick

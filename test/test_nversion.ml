@@ -18,6 +18,7 @@ module Inject = Dpmr_fi.Inject
 module Experiment = Dpmr_fi.Experiment
 module Job = Dpmr_engine.Job
 module Cache = Dpmr_engine.Cache
+module Chaos = Dpmr_engine.Chaos
 module Engine = Dpmr_engine.Engine
 module Protocol = Dpmr_server.Protocol
 module Families = Dpmr_nversion.Families
@@ -205,12 +206,14 @@ let test_salt_bump_evicts_cleanly () =
   Alcotest.(check string) "salt was bumped for N-version" "dpmr-engine/2"
     Job.default_salt;
   with_clean_cache (fun () ->
-      (* a pre-N-version cache: records written under the old salt *)
+      (* a pre-N-version cache: records written under the old salt, with
+         chaos pinned off so no fixture append is torn *)
       let c1 = Cache.load ~dir:test_dir ~salt:old_salt () in
-      Cache.add c1 ~key:"00aa" ~spec_repr:"w=mcf;s=1;r=42;nofi-dpmr(sds,none,all,42)"
-        some_cls;
-      Cache.add c1 ~key:"00ab" ~spec_repr:"w=mcf;s=1;r=43;nofi-dpmr(sds,none,all,42)"
-        some_cls;
+      Chaos.with_chaos None (fun () ->
+          Cache.add c1 ~key:"00aa" ~spec_repr:"w=mcf;s=1;r=42;nofi-dpmr(sds,none,all,42)"
+            some_cls;
+          Cache.add c1 ~key:"00ab" ~spec_repr:"w=mcf;s=1;r=43;nofi-dpmr(sds,none,all,42)"
+            some_cls);
       Cache.close c1;
       (* the old records still parse: eviction is a clean reload drop,
          never a damaged line *)
@@ -222,8 +225,10 @@ let test_salt_bump_evicts_cleanly () =
       Alcotest.(check int) "nothing survives the bump" 0 (Cache.entries c2);
       Alcotest.(check int) "stale lines evicted" 2 (Cache.stats c2).Cache.evicted;
       Alcotest.(check int) "no lines damaged" 0 (Cache.stats c2).Cache.damaged;
-      Cache.add c2 ~key:"00ac" ~spec_repr:"w=mcf;s=1;r=42;nofi-dpmr(sds,none,all,42,n=3,fam=pad-jitter,vote=majority)"
-        some_cls;
+      Chaos.with_chaos None (fun () ->
+          Cache.add c2 ~key:"00ac"
+            ~spec_repr:"w=mcf;s=1;r=42;nofi-dpmr(sds,none,all,42,n=3,fam=pad-jitter,vote=majority)"
+            some_cls);
       Cache.close c2;
       (* the equivalent of [dpmr cache verify]: zero damaged lines and
          full compaction to the current salt *)

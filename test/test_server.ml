@@ -320,8 +320,7 @@ let expect_verdict = function
 let test_daemon_end_to_end () =
   in_tmp_dir @@ fun dir ->
   let engine =
-    Engine.create ~jobs:2 ~use_cache:true ~cache_dir:(Filename.concat dir "cache")
-      ~resident:true ()
+    Engine.create ~jobs:2 ~use_cache:true ~cache_dir:(Filename.concat dir "cache") ()
   in
   let sock = Filename.concat dir "t.sock" in
   let cfg = { Server.default_config with Server.listen = Server.Unix_sock sock } in
@@ -413,7 +412,7 @@ let boot ?(cfg = Server.default_config) dir name =
   let engine =
     Engine.create ~jobs:2 ~use_cache:true
       ~cache_dir:(Filename.concat dir (name ^ ".cache"))
-      ~resident:true ()
+      ()
   in
   let sock = Filename.concat dir (name ^ ".sock") in
   let cfg = { cfg with Server.listen = Server.Unix_sock sock } in
@@ -511,49 +510,6 @@ let test_max_conns_busy () =
   in
   retry 100
 
-let test_client_reconnect () =
-  (* a crashy mini-server: hangs up on its first two requests without
-     replying, then serves pings properly.  A client with a reconnect
-     budget must retransmit through both crashes; one without must
-     fail fast. *)
-  in_tmp_dir @@ fun dir ->
-  let sock = Filename.concat dir "crashy.sock" in
-  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind lfd (Unix.ADDR_UNIX sock);
-  Unix.listen lfd 8;
-  let srv =
-    Domain.spawn (fun () ->
-        (* two abrupt hangups *)
-        for _ = 1 to 2 do
-          let cfd, _ = Unix.accept lfd in
-          ignore (Protocol.read_frame cfd);
-          Unix.close cfd
-        done;
-        (* then an honest ping server *)
-        let cfd, _ = Unix.accept lfd in
-        let rec loop () =
-          match Protocol.read_frame cfd with
-          | None -> ()
-          | Some payload ->
-              (match Protocol.decode_request payload with
-              | Ok { Protocol.rid; body = Protocol.Ping } ->
-                  Protocol.write_frame cfd
-                    (Protocol.encode_response
-                       { Protocol.rrid = rid; reply = Protocol.Ack "pong" })
-              | _ -> ());
-              loop ()
-        in
-        loop ();
-        Unix.close cfd;
-        Unix.close lfd)
-  in
-  let c = Client.connect_unix ~reconnect:5 sock in
-  (match Client.ping c with
-  | Protocol.Ack _ -> ()
-  | _ -> Alcotest.fail "ping must survive two server crashes via reconnect");
-  Client.close c;
-  Domain.join srv
-
 let test_client_no_reconnect_fails_fast () =
   in_tmp_dir @@ fun dir ->
   let sock = Filename.concat dir "once.sock" in
@@ -570,7 +526,7 @@ let test_client_no_reconnect_fails_fast () =
   let c = Client.connect_unix sock in
   (match Client.ping c with
   | exception (Protocol.Closed | Unix.Unix_error _) -> ()
-  | _ -> Alcotest.fail "default client must surface the hangup");
+  | _ -> Alcotest.fail "the client must surface the hangup, not retry");
   Client.close c;
   Domain.join srv
 
@@ -594,8 +550,6 @@ let suites =
         Alcotest.test_case "end to end over unix socket" `Quick test_daemon_end_to_end;
         Alcotest.test_case "batch round-trip" `Quick test_batch_round_trip;
         Alcotest.test_case "max-conns refuses with busy" `Quick test_max_conns_busy;
-        Alcotest.test_case "client reconnects through crashes" `Quick
-          test_client_reconnect;
         Alcotest.test_case "client without budget fails fast" `Quick
           test_client_no_reconnect_fails_fast;
       ] );

@@ -180,6 +180,7 @@ let test_chaos_is_result_transparent () =
       (Some (Chaos.make ~prob:1.0 ~seed:7L ()))
       (fun () -> Engine.run_specs eng specs)
   in
+  Engine.close eng;
   Alcotest.(check (list string)) "chaos run byte-identical" (lines_of quiet)
     (lines_of noisy);
   let tel = Engine.telemetry eng in
@@ -193,7 +194,9 @@ let test_fatal_spec_is_a_hole () =
       | good :: _ as specs ->
           let bad = { good with Job.workload = "no-such-workload" } in
           let eng = Engine.create ~jobs:2 ~use_cache:false ~progress:false () in
-          (match Engine.run_specs_r eng (bad :: specs) with
+          let results = Engine.run_specs_r eng (bad :: specs) in
+          Engine.close eng;
+          (match results with
           | [] -> Alcotest.fail "no results"
           | hole :: rest ->
               (match hole with
