@@ -33,9 +33,7 @@ module Cache = Dpmr_engine.Cache
 module Job = Dpmr_engine.Job
 module Chaos = Dpmr_engine.Chaos
 module Supervisor = Dpmr_engine.Supervisor
-module Dispatch = Dpmr_engine.Dispatch
 module Telemetry = Dpmr_engine.Telemetry
-module Remote = Dpmr_server.Remote
 module Trace = Dpmr_trace.Trace
 module Export = Dpmr_trace.Export
 module Json_check = Dpmr_trace.Json_check
@@ -276,7 +274,10 @@ let runfile_cmd =
         exit 1
     in
     Dpmr_vm.Extern.declare_signatures prog;
-    Dpmr_ir.Verifier.check_prog prog;
+    (try Dpmr_ir.Verifier.check_prog prog
+     with Dpmr_ir.Verifier.Ill_formed msg ->
+       Printf.eprintf "%s: %s\n" file msg;
+       exit 1);
     let r =
       if plain then Dpmr.run_plain ~seed prog
       else Dpmr.run_dpmr ~seed (cfg_of mode diversity policy seed) prog
@@ -431,28 +432,8 @@ let report_cmd =
              of every function at first entry.  Output is byte-identical \
              across tiers.")
   in
-  let remote_workers_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "workers" ] ~docv:"HOST:PORT,..."
-          ~doc:
-            "Scatter cache misses to resident dpmr_serve workers \
-             (comma-separated $(i,HOST:PORT) or $(i,unix:PATH) addresses) and \
-             gather their verdicts; the local pool remains the degradation \
-             path.  Output is byte-identical to a local run.")
-  in
-  let min_workers_t =
-    Arg.(
-      value & opt int 0
-      & info [ "min-workers" ] ~docv:"N"
-          ~doc:
-            "Fail jobs (explicit '!' holes, never an aborted batch) instead of \
-             running them locally once fewer than $(docv) workers stay \
-             healthy.  0 = degrade to local execution silently.")
-  in
   let go id fig scale seed reps replicas families vote jobs no_cache chaos deadline
-      retries backoff_ms telemetry_json tier remote_workers min_workers =
+      retries backoff_ms telemetry_json tier =
     (match tier with None -> () | Some m -> Dpmr_vm.Vm.set_tier_mode m);
     (match chaos with
     | None -> () (* DPMR_CHAOS, if set, still applies via Chaos.active *)
@@ -476,35 +457,7 @@ let report_cmd =
       }
     in
     let jobs = if jobs <= 0 then Engine.default_jobs () else jobs in
-    let dispatcher =
-      match remote_workers with
-      | None -> None
-      | Some spec ->
-          let hosts =
-            String.split_on_char ',' spec
-            |> List.map String.trim
-            |> List.filter (fun h -> h <> "")
-          in
-          if hosts = [] then die "bad --workers %S (want HOST:PORT,...)" spec;
-          let dpolicy =
-            {
-              Dispatch.default_policy with
-              Dispatch.base = policy;
-              min_workers = max 0 min_workers;
-            }
-          in
-          let timeout =
-            (* generous per-socket timeout: a worker that stalls past it is
-               treated as down, re-dispatched, and probed back to health *)
-            match policy.Supervisor.deadline with
-            | Some d -> Float.max 30. (4. *. d)
-            | None -> 120.
-          in
-          Some (Dispatch.create ~policy:dpolicy (Remote.transport ~timeout ()) ~hosts)
-    in
-    let engine =
-      Engine.create ~jobs ~use_cache:(not no_cache) ~policy ?dispatcher ()
-    in
+    let engine = Engine.create ~jobs ~use_cache:(not no_cache) ~policy () in
     let write_telemetry () =
       match telemetry_json with
       | None -> ()
@@ -513,8 +466,7 @@ let report_cmd =
           output_string oc
             (Telemetry.to_json (Engine.telemetry engine) ~workers:(Engine.jobs engine)
                ~cache:(Engine.cache_stats engine)
-               ~tier:(Dpmr_vm.Vm.tier_stats ())
-               ?dispatch:(Engine.dispatcher engine));
+               ~tier:(Dpmr_vm.Vm.tier_stats ()));
           close_out oc
     in
     (* a SIGINT/SIGTERM mid-grid keeps everything finished so far: the
@@ -542,8 +494,7 @@ let report_cmd =
     Term.(
       const go $ id_t $ fig_t $ scale_t $ seed_t $ reps_t $ replicas_t
       $ families_t $ vote_t $ jobs_t $ no_cache_t $ chaos_t
-      $ deadline_t $ retries_t $ backoff_ms_t $ telemetry_json_t $ tier_t
-      $ remote_workers_t $ min_workers_t)
+      $ deadline_t $ retries_t $ backoff_ms_t $ telemetry_json_t $ tier_t)
 
 let cache_cmd =
   let action_t =

@@ -32,7 +32,10 @@ let workers_t =
     value
     & opt int 0
     & info [ "workers"; "j" ] ~docv:"N"
-        ~doc:"Worker domains in the resident pool (0 = one per recommended core).")
+        ~doc:"Worker domains in the resident pool (0 = one per recommended core).  \
+              A pool of 1 spawns no domain: each batch runs on the domain of \
+              the connection that submitted it, so N concurrent connections \
+              run N batches at once.")
 
 let retries_t =
   Arg.(
@@ -92,16 +95,6 @@ let chaos_t =
               cache writes with probability $(docv) (0 disables; overrides \
               DPMR_CHAOS).  Served verdicts must survive unchanged.")
 
-let chaos_wire_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "chaos-wire" ] ~docv:"P[,SEED]"
-        ~doc:"Deterministically sabotage this daemon's replies with probability \
-              $(docv): stalls, torn frames, connection resets, and whole-process \
-              kills (0 disables; overrides DPMR_CHAOS_WIRE).  A dispatching \
-              client must still converge to byte-identical output.")
-
 let cache_dir_t =
   Arg.(
     value
@@ -117,7 +110,7 @@ let quiet_t =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress per-session log lines.")
 
 let go socket tcp workers retries backoff_ms deadline quota_rps quota_burst max_conns
-    drain_grace chaos chaos_wire cache_dir no_cache quiet =
+    drain_grace chaos cache_dir no_cache quiet =
   (match chaos with
   | None -> ()
   | Some "0" -> Chaos.set None
@@ -125,13 +118,6 @@ let go socket tcp workers retries backoff_ms deadline quota_rps quota_burst max_
       match Chaos.parse s with
       | Some c -> Chaos.set (Some c)
       | None -> die "bad --chaos %S (want P or P,SEED with 0 < P <= 1)" s));
-  (match chaos_wire with
-  | None -> ()
-  | Some "0" -> Chaos.set_wire None
-  | Some s -> (
-      match Chaos.parse s with
-      | Some c -> Chaos.set_wire (Some c)
-      | None -> die "bad --chaos-wire %S (want P or P,SEED with 0 < P <= 1)" s));
   let listen =
     match tcp with
     | None -> Server.Unix_sock socket
@@ -170,10 +156,6 @@ let go socket tcp workers retries backoff_ms deadline quota_rps quota_burst max_
       quota_burst;
       drain_grace;
       verbose = not quiet;
-      (* a standalone daemon may really die under wire chaos — the
-         dispatcher's failover is what's under test; in-process test
-         servers keep this off and downgrade kills to resets *)
-      allow_chaos_kill = true;
     }
   in
   let t = Server.create ~cfg engine in
@@ -191,7 +173,7 @@ let cmd =
     Term.(
       const go $ socket_t $ tcp_t $ workers_t $ retries_t $ backoff_ms_t $ deadline_t
       $ quota_rps_t $ quota_burst_t $ max_conns_t $ drain_grace_t $ chaos_t
-      $ chaos_wire_t $ cache_dir_t $ no_cache_t $ quiet_t)
+      $ cache_dir_t $ no_cache_t $ quiet_t)
 
 let () =
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };

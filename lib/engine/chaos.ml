@@ -110,56 +110,6 @@ let attempt_fault ~key ~attempt =
           raise
             (Injected_fault (Printf.sprintf "chaos: injected fault (%s, attempt %d)" key attempt)))
 
-(* ---------------- wire chaos ---------------- *)
-
-(* Wire chaos attacks the serving path the way worker chaos attacks the
-   job path: response frames get torn mid-write, connections reset,
-   replies stall, and (rarely) the whole worker process dies mid-job.
-   It is configured separately (DPMR_CHAOS_WIRE) because its blast
-   radius is a *connection*, not an attempt — the recovery layer under
-   test is the dispatcher's re-dispatch and quarantine, not the job
-   supervisor.  Decisions are pure in [(seed, key, attempt)] with the
-   same burst rule, so a peer that retries [burst] times always gets
-   clean service eventually and goldens stay byte-identical. *)
-
-type wire_action =
-  | Wire_stall of float  (** delay the response by under [max_delay] *)
-  | Wire_torn  (** write a partial frame, then drop the connection *)
-  | Wire_reset  (** drop the connection before replying *)
-  | Wire_kill  (** the worker process dies mid-job ([_exit]) *)
-
-let wire_state : t option option ref = ref None
-
-let set_wire c = wire_state := Some c
-
-let wire_of_env () =
-  match Sys.getenv_opt "DPMR_CHAOS_WIRE" with
-  | None | Some "" | Some "0" -> None
-  | Some s -> parse s
-
-let wire_active () =
-  match !wire_state with
-  | Some c -> c
-  | None ->
-      let c = wire_of_env () in
-      wire_state := Some c;
-      c
-
-let wire_plan c ~key ~attempt =
-  if attempt >= c.burst then None
-  else
-    let u = decision c ~stream:"wire" ~key ~attempt in
-    if u >= c.prob then None
-    else
-      let pick = decision c ~stream:"wirekind" ~key ~attempt in
-      (* mostly recoverable nuisances; process kills are rare because
-         each one forfeits a whole worker (the test for quarantine +
-         re-dispatch, and for crash-durable cache recovery) *)
-      if pick < 0.40 then Some (Wire_stall (c.max_delay *. (0.5 +. pick)))
-      else if pick < 0.75 then Some Wire_torn
-      else if pick < 0.97 then Some Wire_reset
-      else Some Wire_kill
-
 (** Torn cache write: [Some n] truncates the record (newline included)
     to its first [n] bytes.  Kept rarer than worker faults so chaos runs
     still exercise warm-cache paths. *)

@@ -50,33 +50,3 @@ val attempt_fault : key:string -> attempt:int -> unit
 val truncation : key:string -> len:int -> int option
 (** Torn-write decision for a cache record of [len] bytes (newline
     included): [Some n] means persist only the first [n] bytes. *)
-
-(** {2 Wire chaos}
-
-    Deterministic failure injection for the {e serving} path
-    ([--chaos-wire] / [DPMR_CHAOS_WIRE]), configured separately from
-    worker chaos because its blast radius is a connection: response
-    frames are torn mid-write, connections reset, replies stall, and
-    (rarely) the worker process dies mid-job.  The recovery layer under
-    test is the dispatcher's re-dispatch and quarantine.  The burst
-    rule applies per peer-visible key, so retrying peers always reach
-    clean service and goldens stay byte-identical. *)
-
-type wire_action =
-  | Wire_stall of float  (** delay the response by under [max_delay] *)
-  | Wire_torn  (** write a partial frame, then drop the connection *)
-  | Wire_reset  (** drop the connection before replying *)
-  | Wire_kill  (** the worker process dies mid-job ([_exit]) *)
-
-val set_wire : t option -> unit
-(** Set the process-wide wire-chaos config (the daemon's
-    [--chaos-wire] flag). *)
-
-val wire_active : unit -> t option
-(** Current wire-chaos config; consults [DPMR_CHAOS_WIRE] on first use
-    if {!set_wire} was never called. *)
-
-val wire_plan : t -> key:string -> attempt:int -> wire_action option
-(** The (pure) decision for one served response, keyed by request
-    content and a per-peer attempt number.  Attempts [>= burst] are
-    never injected into. *)

@@ -26,16 +26,12 @@ type t = {
   supervisor : Supervisor.t;
   progress : bool;
   pool : Pool.t;  (** resident worker pool, reused across batches *)
-  dispatcher : Dispatch.t option;
-      (** remote scatter/gather: cache misses go to resident workers
-          over the wire instead of the local pool, with the local pool
-          as the degradation path ([report all --workers]) *)
 }
 
 let default_jobs () = Pool.default_size ()
 
 let create ?jobs ?(use_cache = true) ?(cache_dir = Cache.default_dir)
-    ?(salt = Job.default_salt) ?policy ?(progress = true) ?dispatcher () =
+    ?(salt = Job.default_salt) ?policy ?(progress = true) () =
   let cache = if use_cache then Some (Cache.load ~dir:cache_dir ~salt ()) else None in
   {
     salt;
@@ -44,11 +40,9 @@ let create ?jobs ?(use_cache = true) ?(cache_dir = Cache.default_dir)
     supervisor = Supervisor.create ?policy ();
     progress;
     pool = Pool.create ?size:jobs ();
-    dispatcher;
   }
 
 let jobs t = Pool.size t.pool
-let dispatcher t = t.dispatcher
 let telemetry t = t.telemetry
 let supervisor t = t.supervisor
 let cache_stats t = Option.map Cache.stats t.cache
@@ -146,49 +140,29 @@ let run_specs_r t specs =
          failure fills its own slots and cannot abort the batch *)
       let exec (key, spec) =
         let t1 = Telemetry.now () in
-        let r = Supervisor.run t.supervisor ~key (fun () -> execute spec) in
-        let outcome =
-          match r with
-          | Ok cls -> Dispatch.Done cls
+        let result =
+          match Supervisor.run t.supervisor ~key (fun () -> execute spec) with
+          | Ok cls -> Experiment.Run cls
           | Error (fl : Supervisor.failure) ->
-              Dispatch.Hole
+              Experiment.Job_failed
                 {
-                  Dispatch.hreason = Supervisor.reason_name fl.Supervisor.freason;
-                  hattempts = fl.Supervisor.fattempts;
-                  herror = fl.Supervisor.ferror;
+                  Experiment.fail_reason = Supervisor.reason_name fl.Supervisor.freason;
+                  fail_attempts = fl.Supervisor.fattempts;
+                  fail_error = fl.Supervisor.ferror;
                 }
         in
-        ((key, spec), outcome, Telemetry.now () -. t1)
-      in
-      let run_local items = Pool.map t.pool ?progress:(progress_fn t (List.length items)) exec items in
-      let ran =
-        match t.dispatcher with
-        | None -> run_local to_run
-        | Some d ->
-            (* scatter the misses to remote workers; the local pool is
-               the degradation path *)
-            Dispatch.run d ~local:run_local to_run
+        (key, spec, result, Telemetry.now () -. t1)
       in
       List.iter
-        (fun ((key, spec), outcome, wall) ->
-          let result =
-            match outcome with
-            | Dispatch.Done cls ->
-                Telemetry.record_job t.telemetry ~wall ~cost:cls.Experiment.cost;
-                Option.iter (fun c -> Cache.add c ~key ~spec_repr:(Job.repr spec) cls) t.cache;
-                Experiment.Run cls
-            | Dispatch.Hole h ->
-                Telemetry.record_failed t.telemetry ~wall;
-                Experiment.Job_failed
-                  {
-                    Experiment.fail_reason = h.Dispatch.hreason;
-                    fail_attempts = h.Dispatch.hattempts;
-                    fail_error = h.Dispatch.herror;
-                  }
-          in
+        (fun (key, spec, result, wall) ->
+          (match result with
+          | Experiment.Run cls ->
+              Telemetry.record_job t.telemetry ~wall ~cost:cls.Experiment.cost;
+              Option.iter (fun c -> Cache.add c ~key ~spec_repr:(Job.repr spec) cls) t.cache
+          | Experiment.Job_failed _ -> Telemetry.record_failed t.telemetry ~wall);
           let _, idxs = Hashtbl.find missing key in
           List.iter (fun i -> results.(i) <- Some result) idxs)
-        ran;
+        (Pool.map t.pool ?progress:(progress_fn t (List.length to_run)) exec to_run);
       Telemetry.record_retries t.telemetry (Supervisor.retries t.supervisor - retries_before);
       Option.iter Cache.flush t.cache;
       Telemetry.record_batch t.telemetry ~wall:(Telemetry.now () -. t0);
@@ -234,7 +208,6 @@ let run_tasks t thunks =
 let summary_lines t =
   Telemetry.summary_lines t.telemetry ~workers:(jobs t) ~cache:(cache_stats t)
     ~tier:(Dpmr_vm.Vm.tier_stats ())
-    ?dispatch:t.dispatcher
 
 (** Printed to stderr so report output stays byte-identical across
     worker counts and cache states. *)

@@ -22,7 +22,6 @@ val create :
   ?salt:string ->
   ?policy:Supervisor.policy ->
   ?progress:bool ->
-  ?dispatcher:Dispatch.t ->
   unit ->
   t
 (** Every cache miss runs as its own job, from zero.  [jobs] defaults
@@ -32,16 +31,10 @@ val create :
     retry / backoff, default [Supervisor.default_policy]); [progress]
     prints batch progress to stderr on long grids.  Creating an engine
     spawns no domain; an engine with [jobs > 1] must be {!close}d once
-    it has run a batch, or its parked domains outlive it.  [dispatcher]
-    scatters cache misses to remote workers
-    ([report all --workers]) with the local pool as the degradation
-    path; the engine's cache, figures, and result ordering are
-    unchanged. *)
+    it has run a batch, or its parked domains outlive it. *)
 
 val jobs : t -> int
 
-val dispatcher : t -> Dispatch.t option
-(** The remote dispatcher wired in at {!create} time, for telemetry. *)
 val telemetry : t -> Telemetry.t
 val supervisor : t -> Supervisor.t
 val cache_stats : t -> Cache.stats option

@@ -4,8 +4,9 @@
     A pool's worker domains start with its first batch and park between
     batches until {!shutdown}, so per-domain warmup (DLS-cached
     experiment contexts, lowered programs) is paid once per pool.  A
-    pool of size 1 spawns no domain: its batches run on the calling
-    domain. *)
+    pool of size 1 spawns no domain: each batch runs on the domain that
+    submitted it, so batches submitted from N domains at once (the
+    daemon's N connections) run N at a time. *)
 
 val default_size : unit -> int
 (** [Domain.recommended_domain_count ()]. *)

@@ -56,12 +56,6 @@ val register_transient : (exn -> bool) -> unit
 
 val classify_exn : exn -> reason
 
-val backoff_delay : policy -> key:string -> attempt:int -> float
-(** The (pure) backoff sleep for one retry: exponential envelope capped
-    at [backoff_max], scaled by deterministic jitter hashed from
-    [(key, attempt)].  Exposed so other supervision layers (the remote
-    dispatcher paces failing hosts with it) back off identically. *)
-
 val run : t -> key:string -> (unit -> 'a) -> ('a, failure) result
 (** Run one job under supervision.  A quarantined [key] answers
     immediately with its recorded failure (the job does not run).

@@ -75,7 +75,7 @@ let speedup_estimate t =
    dependencies.  Only surfaced when the tier actually fired, so
    historical summary shapes are preserved. *)
 
-let summary_lines ?(tier = (0, 0)) ?dispatch t ~workers
+let summary_lines ?(tier = (0, 0)) t ~workers
     ~(cache : Cache.stats option) =
   let total = t.jobs_run + t.jobs_cached + t.jobs_failed in
   let degraded =
@@ -117,14 +117,7 @@ let summary_lines ?(tier = (0, 0)) ?dispatch t ~workers
     else
       [ Printf.sprintf "[engine] tier: %d function(s) promoted, %d deopt(s)" promoted deopts ]
   in
-  (* only surfaced when a remote dispatcher was wired in, so
-     single-host runs keep the historical summary shape *)
-  let dispatch_lines =
-    match dispatch with
-    | None -> []
-    | Some d -> List.map (fun l -> "[engine] " ^ l) (Dispatch.summary_lines d)
-  in
-  let base = [ first; cache_line; time_line ] @ tier_lines @ dispatch_lines in
+  let base = [ first; cache_line; time_line ] @ tier_lines in
   (* only surfaced when a trace sink actually recorded something, so
      untraced runs keep the historical summary shape *)
   let tr = t.trace in
@@ -142,7 +135,7 @@ let summary_lines ?(tier = (0, 0)) ?dispatch t ~workers
 (** Machine-readable snapshot of everything {!summary_lines} reports
     (plus the raw fields), for CI trend tracking.  One flat JSON object;
     keys are stable, floats fixed-precision, absent subsystems [null]. *)
-let to_json ?(tier = (0, 0)) ?dispatch t ~workers
+let to_json ?(tier = (0, 0)) t ~workers
     ~(cache : Cache.stats option) =
   let b = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -174,25 +167,6 @@ let to_json ?(tier = (0, 0)) ?dispatch t ~workers
         c.Cache.hits looked pct c.Cache.added c.Cache.evicted c.Cache.damaged);
   (let promoted, deopts = tier in
    add "  \"tier\": { \"promoted\": %d, \"deopts\": %d },\n" promoted deopts);
-  (match dispatch with
-  | None -> add "  \"dispatch\": null,\n"
-  | Some d ->
-      let tot = Dispatch.totals d in
-      add
-        "  \"dispatch\": { \"remote_jobs\": %d, \"local_jobs\": %d, \"holes\": %d, \"requeues\": %d, \"duplicate_results\": %d, \"hosts\": ["
-        tot.Dispatch.t_remote_jobs tot.Dispatch.t_local_jobs tot.Dispatch.t_holes
-        tot.Dispatch.t_requeues tot.Dispatch.t_duplicate_results;
-      List.iteri
-        (fun i (h : Dispatch.host_stats) ->
-          if i > 0 then add ", ";
-          add
-            "{ \"addr\": \"%s\", \"healthy\": %b, \"sent\": %d, \"completed\": %d, \"jobs\": %d, \"retried\": %d, \"quarantined\": %d, \"failures\": %d, \"rtt_p50_ms\": %.2f, \"rtt_p95_ms\": %.2f }"
-            (Dpmr_trace.Export.escaped h.Dispatch.hs_addr)
-            h.Dispatch.hs_healthy h.Dispatch.hs_sent h.Dispatch.hs_completed
-            h.Dispatch.hs_jobs h.Dispatch.hs_retried h.Dispatch.hs_quarantined
-            h.Dispatch.hs_failures h.Dispatch.hs_rtt_p50_ms h.Dispatch.hs_rtt_p95_ms)
-        (Dispatch.host_stats d);
-      add "] },\n");
   let tr = t.trace in
   add
     "  \"trace\": { \"emitted\": %d, \"dropped\": %d, \"comparisons\": %d, \"detections\": %d, \"fi_marks\": %d }\n"

@@ -35,7 +35,6 @@ val speedup_estimate : t -> float option
 
 val summary_lines :
   ?tier:int * int ->
-  ?dispatch:Dispatch.t ->
   t ->
   workers:int ->
   cache:Cache.stats option ->
@@ -44,13 +43,10 @@ val summary_lines :
     deopt count is always 0 and stays because perfbench reads it.
     Passed in by the engine at summary time to keep this module free of
     VM dependencies; a tier line appears only when either counter is
-    non-zero, preserving historical summary shapes.
-    [dispatch] adds per-host scatter/gather lines for campaigns run
-    with [--workers]. *)
+    non-zero, preserving historical summary shapes. *)
 
 val to_json :
   ?tier:int * int ->
-  ?dispatch:Dispatch.t ->
   t ->
   workers:int ->
   cache:Cache.stats option ->

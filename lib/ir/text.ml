@@ -853,6 +853,8 @@ let parse (text : string) : Prog.t =
             in
             match c.toks with
             | [ Tid label; Tpunct ':' ] ->
+                if List.exists (fun (b : Func.block) -> b.label = label) st.func.Func.blocks
+                then fail lineno "duplicate label %S in @%s" label st.func.Func.name;
                 cur_block := Some (Func.add_block st.func label)
             | Treg _ :: _ -> (
                 match next c with

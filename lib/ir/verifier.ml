@@ -17,9 +17,21 @@ let check_scalar ctx t =
   if not (is_scalar t) then
     fail "%s: type %a is not a scalar (registers hold scalars only)" ctx Types.pp t
 
+(* A type whose size must be known: every aggregate it holds by value
+   must be named in the type environment (pointers may stay opaque). *)
+let rec check_defined (p : Prog.t) ctx = function
+  | Struct n | Union n ->
+      if not (Tenv.is_defined p.tenv n) then fail "%s: undefined type %%%s" ctx n
+  | Arr (e, _) -> check_defined p ctx e
+  | Int _ | Float | Void | Ptr _ | Fun _ -> ()
+
 let check_func (p : Prog.t) (f : Func.t) =
   let ctx_of b inst = Fmt.str "%s/%s: %a" f.name b (Printer.pp_inst f) inst in
-  let oty o = Prog.operand_ty p f o in
+  (* an operand naming an undefined global or function is ill-formed,
+     not a lookup failure *)
+  let oty o =
+    try Prog.operand_ty p f o with Invalid_argument msg -> fail "%s: %s" f.name msg
+  in
   let check_ptr ctx o =
     match oty o with
     | Ptr _ -> ()
@@ -47,6 +59,7 @@ let check_func (p : Prog.t) (f : Func.t) =
           match inst with
           | Malloc (r, t, n) | Alloca (r, t, n) ->
               check_int ctx n;
+              check_defined p ctx t;
               ignore (Layout.size_of p.tenv t);
               if Func.reg_ty f r <> Ptr t then
                 fail "%s: allocation result type mismatch" ctx
@@ -78,6 +91,7 @@ let check_func (p : Prog.t) (f : Func.t) =
               | Ptr _ -> ()
               | t -> fail "%s: gep_field result type %a" ctx Types.pp t)
           | Gep_index (r, e, q, i) -> (
+              check_defined p ctx e;
               check_ptr ctx q;
               check_int ctx i;
               match Func.reg_ty f r with
@@ -176,4 +190,8 @@ let check_func (p : Prog.t) (f : Func.t) =
       | Unreachable -> ())
     f.blocks
 
-let check_prog p = Prog.iter_funcs p (fun f -> check_func p f)
+let check_prog (p : Prog.t) =
+  Tenv.iter p.tenv (fun name body ->
+      List.iter (check_defined p ("type %" ^ name)) body.fields);
+  Prog.iter_globals p (fun g -> check_defined p ("global @" ^ g.Prog.gname) g.Prog.gty);
+  Prog.iter_funcs p (fun f -> check_func p f)

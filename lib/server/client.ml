@@ -1,14 +1,12 @@
 (** Synchronous client for the serving protocol: one socket, one
-    request (or one batch) in flight — the load generator opens many
-    clients for concurrency, the dispatcher one per window slot.
-    Request ids are assigned per client and checked against the
-    response, so a desynchronized stream fails loudly instead of
-    mis-attributing verdicts.
+    request in flight — the load generator opens many clients for
+    concurrency.  Request ids are assigned per client and checked
+    against the response, so a desynchronized stream fails loudly
+    instead of mis-attributing verdicts.
 
     A failed operation drops the socket and raises; the next operation
-    connects afresh.  The client never retries on its own: the remote
-    dispatcher is the one retry layer, and it wants every failure for
-    its quarantine accounting. *)
+    connects afresh.  The client never retries on its own: every
+    failure reaches the caller. *)
 
 type endpoint = Unix_ep of string | Tcp_ep of string * int
 
@@ -67,13 +65,6 @@ let drop t =
 
 let close = drop
 
-let abort t =
-  (* shut both directions down so a [call] blocked in [read] on another
-     thread wakes with a clean EOF; safe to race with [close] *)
-  match t.fd with
-  | Some fd -> ( try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-  | None -> ()
-
 let ensure t =
   match t.fd with
   | Some fd -> fd
@@ -108,7 +99,7 @@ let read_reply fd ~rid =
             failwith
               (Printf.sprintf "response id %d does not answer request %d"
                  resp.Protocol.rrid rid);
-          (resp.Protocol.reply, Protocol.decode_response_index payload))
+          resp.Protocol.reply)
 
 (** Send one request body; blocks for the matching response and returns
     its reply.  Raises [Protocol.Closed] if the server hung up and
@@ -118,36 +109,7 @@ let call t body =
       let fd = ensure t in
       let rid = fresh_rid t in
       Protocol.write_frame fd (Protocol.encode_request { Protocol.rid; body });
-      fst (read_reply fd ~rid))
-
-(** Scatter one chunk: a batch header plus one [run] frame per item,
-    answered by one reply per item in input order.  A response frame
-    carrying the wrong batch index fails the whole call (the stream is
-    desynchronized); the caller re-dispatches the chunk. *)
-let run_batch t params =
-  match params with
-  | [] -> []
-  | _ ->
-      guarded t (fun () ->
-          let fd = ensure t in
-          let rid = fresh_rid t in
-          let n = List.length params in
-          Protocol.write_frame fd
-            (Protocol.encode_request { Protocol.rid; body = Protocol.Batch n });
-          List.iter
-            (fun p ->
-              Protocol.write_frame fd
-                (Protocol.encode_request { Protocol.rid; body = Protocol.Run p }))
-            params;
-          List.init n (fun i ->
-              let reply, index = read_reply fd ~rid in
-              (match index with
-              | Some j when j <> i ->
-                  failwith
-                    (Printf.sprintf "batch response out of order: got item %d, expected %d"
-                       j i)
-              | _ -> ());
-              reply))
+      read_reply fd ~rid)
 
 let hello t client_name = call t (Protocol.Hello client_name)
 let ping t = call t Protocol.Ping

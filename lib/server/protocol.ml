@@ -34,8 +34,8 @@ let max_frame = 16 * 1024 * 1024
     ([Fi_stdapp]); otherwise the config fields select the DPMR build.
     [site] indexes the deterministic [Inject.sites] list of the
     program; [site_ref] names the site outright (function, block,
-    in-block index) and wins over [site] when present — the dispatcher
-    uses it so workers need no site-list resolution round-trip.
+    in-block index) and wins over [site] when present, so a client that
+    already planned its sites needs no site-list resolution round-trip.
     [budget = 0L] means "resolve from the experiment context" (~20x the
     golden cost, the batch default).  [forensics] additionally runs the
     request under a trace sink and returns the corruption→detection
@@ -94,29 +94,9 @@ let config_of (p : run_params) =
     vote = p.vote;
   }
 
-(** Inverse of {!config_of}: [p] with every config field taken from [c]. *)
-let with_config (c : Config.t) p =
-  {
-    p with
-    mode = c.Config.mode;
-    diversity = c.Config.diversity;
-    policy = c.Config.policy;
-    cfg_seed = c.Config.seed;
-    replicas = c.Config.replicas;
-    families = c.Config.families;
-    vote = c.Config.vote;
-  }
-
 type body =
   | Hello of string  (** client identification, echoed in logs *)
   | Run of run_params
-  | Batch of int
-      (** batch header: the next [n] frames on this connection are [Run]
-          requests forming one batch.  The server executes them as one
-          engine batch (pool parallelism) and
-          answers with [n] frames in input order, each tagged with the
-          header's request id and its batch index ([encode_response
-          ?index]) so a desynchronized stream fails loudly. *)
   | Register of string  (** textual IR; the response carries the minted name *)
   | Stats
   | Drain
@@ -182,7 +162,6 @@ let encode_request { rid; body } =
   | Stats -> add ",\"t\":\"stats\""
   | Drain -> add ",\"t\":\"drain\""
   | Ping -> add ",\"t\":\"ping\""
-  | Batch n -> add ",\"t\":\"batch\",\"n\":%d" n
   | Run p ->
       add ",\"t\":\"run\",\"workload\":\"%s\",\"scale\":%d" (esc p.workload) p.scale;
       add ",\"eseed\":%Ld,\"rseed\":%Ld,\"budget\":%Ld" p.exp_seed p.run_seed p.budget;
@@ -213,11 +192,10 @@ let encode_request { rid; body } =
   Buffer.add_char b '}';
   Buffer.contents b
 
-let encode_response ?index { rrid; reply } =
+let encode_response { rrid; reply } =
   let b = Buffer.create 256 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\"v\":%d,\"id\":%d" version rrid;
-  (match index with Some i -> add ",\"i\":%d" i | None -> ());
   (match reply with
   | Ack msg -> add ",\"t\":\"ok\",\"msg\":\"%s\"" (esc msg)
   | Registered name -> add ",\"t\":\"registered\",\"name\":\"%s\"" (esc name)
@@ -377,21 +355,9 @@ let decode_request line =
     | "run" ->
         let* p = decode_run fields in
         Ok (Run p)
-    | "batch" ->
-        let* n = int_field fields "n" ~default:0 in
-        if n < 1 then Error "batch size must be >= 1" else Ok (Batch n)
     | other -> Error (Printf.sprintf "unknown request type %S" other)
   in
   Ok { rid; body }
-
-(* The batch index a response frame was tagged with ([encode_response
-   ?index]); decoded separately so the [response] record (and every
-   single-request call site) keeps its historical shape. *)
-let decode_response_index line =
-  match fields_of line with
-  | Error _ -> None
-  | Ok fields -> (
-      match List.assoc_opt "i" fields with Some (`Int i) -> Some (Int64.to_int i) | _ -> None)
 
 let decode_response line =
   let* fields = fields_of line in

@@ -25,7 +25,6 @@ module Fi_forensics = Dpmr_fi.Forensics
 module Engine = Dpmr_engine.Engine
 module Job = Dpmr_engine.Job
 module Telemetry = Dpmr_engine.Telemetry
-module Chaos = Dpmr_engine.Chaos
 
 type listen = Unix_sock of string | Tcp of string * int
 
@@ -40,10 +39,6 @@ type config = {
   quota_burst : int;
   drain_grace : float;  (** seconds to wait for in-flight connections on drain *)
   verbose : bool;
-  allow_chaos_kill : bool;
-      (** permit [Wire_kill] chaos to [_exit] the process — only safe in
-          a standalone daemon; in-process test servers downgrade the
-          kill to a connection reset *)
 }
 
 let default_config =
@@ -54,7 +49,6 @@ let default_config =
     quota_burst = 64;
     drain_grace = 30.;
     verbose = false;
-    allow_chaos_kill = false;
   }
 
 type t = {
@@ -72,11 +66,6 @@ type t = {
   budgets : (string, int64) Hashtbl.t;
   sites : (string, Inject.site array) Hashtbl.t;
   meta_mu : Mutex.t;
-  (* wire-chaos attempt counters: how many times each request identity
-     was served, so the burst rule guarantees a retrying peer clean
-     service eventually *)
-  wire_attempts : (string, int) Hashtbl.t;
-  wire_mu : Mutex.t;
 }
 
 let create ?(cfg = default_config) engine =
@@ -91,8 +80,6 @@ let create ?(cfg = default_config) engine =
     budgets = Hashtbl.create 16;
     sites = Hashtbl.create 16;
     meta_mu = Mutex.create ();
-    wire_attempts = Hashtbl.create 64;
-    wire_mu = Mutex.create ();
   }
 
 let draining t = Atomic.get t.draining
@@ -181,9 +168,8 @@ let spec_of_params t (p : Protocol.run_params) =
       | None ->
           if p.plain then Experiment.Golden else Experiment.Nofi_dpmr (Protocol.config_of p)
       | Some k -> (
-          (* an explicit site needs no site-list resolution: the
-             dispatcher ships sites it already resolved, so a worker
-             can serve the job without a golden-run round-trip *)
+          (* an explicit site needs no site-list resolution, so the
+             job is served without a golden-run round-trip *)
           match p.site_ref with
           | Some site ->
               if p.plain then Experiment.Fi_stdapp (k, site)
@@ -264,72 +250,6 @@ let stats_json t =
   add "\n}\n";
   Buffer.contents b
 
-(* ---------------- wire chaos ---------------- *)
-
-(* Drop the connection deliberately (reset, or the tail of a torn
-   frame); the handler treats it like any peer hang-up. *)
-exception Chaos_drop
-
-let wire_attempt t key =
-  Mutex.protect t.wire_mu (fun () ->
-      let n = Option.value ~default:0 (Hashtbl.find_opt t.wire_attempts key) in
-      Hashtbl.replace t.wire_attempts key (n + 1);
-      n)
-
-let rec write_all fd buf off len =
-  if len > 0 then begin
-    let n = Unix.write fd buf off len in
-    write_all fd buf (off + n) (len - n)
-  end
-
-(* A torn frame: the length prefix promises the whole payload but only
-   the first half arrives before the connection drops — the peer must
-   detect the mid-frame EOF, not mis-parse a short record. *)
-let write_torn_frame cfd payload =
-  let n = String.length payload in
-  let keep = max 1 (n / 2) in
-  let buf = Bytes.create (4 + keep) in
-  Bytes.set_uint8 buf 0 ((n lsr 24) land 0xff);
-  Bytes.set_uint8 buf 1 ((n lsr 16) land 0xff);
-  Bytes.set_uint8 buf 2 ((n lsr 8) land 0xff);
-  Bytes.set_uint8 buf 3 (n land 0xff);
-  Bytes.blit_string payload 0 buf 4 keep;
-  (try write_all cfd buf 0 (4 + keep) with Unix.Unix_error _ -> ())
-
-(** Write one response frame, subject to wire chaos when [ckey] names a
-    retriable request identity (verdict frames only — control replies
-    stay reliable so probes measure host health, not chaos). *)
-let send_reply t cfd ?index ?ckey resp =
-  let payload = Protocol.encode_response ?index resp in
-  match ckey with
-  | None -> Protocol.write_frame cfd payload
-  | Some key -> (
-      match Chaos.wire_active () with
-      | None -> Protocol.write_frame cfd payload
-      | Some c -> (
-          let attempt = wire_attempt t key in
-          match Chaos.wire_plan c ~key ~attempt with
-          | None -> Protocol.write_frame cfd payload
-          | Some (Chaos.Wire_stall d) ->
-              Unix.sleepf d;
-              Protocol.write_frame cfd payload
-          | Some Chaos.Wire_torn ->
-              write_torn_frame cfd payload;
-              raise Chaos_drop
-          | Some Chaos.Wire_reset -> raise Chaos_drop
-          | Some Chaos.Wire_kill ->
-              if t.cfg.allow_chaos_kill then begin
-                (* the worker dies mid-job: no reply, no cache flush, no
-                   drain — exactly the failure quarantine + re-dispatch
-                   (and the cache's torn-tail recovery) must absorb *)
-                logf t "wire chaos: killing worker process";
-                Unix._exit 137
-              end
-              else raise Chaos_drop))
-
-let chaos_key_of_run (p : Protocol.run_params) =
-  Protocol.encode_request { Protocol.rid = 0; body = Protocol.Run p }
-
 (* ---------------- per-connection handling ---------------- *)
 
 let handle t (session : Session.t) (req : Protocol.request) =
@@ -347,10 +267,6 @@ let handle t (session : Session.t) (req : Protocol.request) =
         match Session.register_ir ir with
         | Ok name -> Protocol.Registered name
         | Error msg -> Protocol.Error (Protocol.Bad_request, msg))
-    | Protocol.Batch _ ->
-        (* batches are framed at the connection level (header + n run
-           frames); one reaching the single-request path is a peer bug *)
-        Protocol.Error (Protocol.Bad_request, "batch header outside connection framing")
     | Protocol.Run p -> (
         if Atomic.get t.draining then
           Protocol.Error (Protocol.Draining, "server is draining; resubmit elsewhere")
@@ -368,78 +284,6 @@ let handle t (session : Session.t) (req : Protocol.request) =
   (match reply with Protocol.Error _ -> Atomic.incr t.errors | _ -> ());
   { Protocol.rrid = req.Protocol.rid; reply }
 
-(* One scattered chunk: a batch header followed by [n] run frames,
-   answered with [n] frames in input order (each tagged with the header
-   rid and its batch index).  All admissible items execute as ONE engine
-   batch, so the remote pool runs them in parallel; inadmissible items
-   (draining, quota, bad request, unknown workload) answer with their
-   own error frames and never poison the rest of the chunk. *)
-let handle_batch t (session : Session.t) cfd ~rid n =
-  let frames =
-    Array.init n (fun _ ->
-        match Protocol.read_frame cfd with
-        | Some payload -> payload
-        | None -> raise Protocol.Closed)
-  in
-  let t0 = Unix.gettimeofday () in
-  let slots =
-    Array.map
-      (fun payload ->
-        match Protocol.decode_request payload with
-        | Error msg -> `Err (Protocol.Bad_request, msg)
-        | Ok { Protocol.body = Protocol.Run p; _ } ->
-            if p.Protocol.forensics then
-              `Err (Protocol.Bad_request, "forensics runs are not batchable")
-            else if Atomic.get t.draining then
-              `Err (Protocol.Draining, "server is draining; resubmit elsewhere")
-            else if not (Session.admit session) then begin
-              Atomic.incr t.quota_rejects;
-              `Err (Protocol.Quota, "per-connection rate limit exceeded")
-            end
-            else (
-              try
-                let spec = spec_of_params t p in
-                `Spec (spec, Engine.cache_mem t.engine spec)
-              with
-              | Reject (code, msg) -> `Err (code, msg)
-              | e -> `Err (Protocol.Internal, Printexc.to_string e))
-        | Ok _ -> `Err (Protocol.Bad_request, "batch items must be run requests"))
-      frames
-  in
-  let specs =
-    Array.to_list slots
-    |> List.filter_map (function `Spec (s, _) -> Some s | `Err _ -> None)
-  in
-  let outcomes = Array.of_list (Engine.run_specs_r t.engine specs) in
-  let wall_us =
-    int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) / max 1 (Array.length outcomes)
-  in
-  let next = ref 0 in
-  Array.iteri
-    (fun i slot ->
-      let reply, ckey =
-        match slot with
-        | `Err (code, msg) -> (Protocol.Error (code, msg), None)
-        | `Spec (spec, cached) -> (
-            let r = outcomes.(!next) in
-            incr next;
-            match r with
-            | Experiment.Run cls ->
-                ( Protocol.Verdict { Protocol.cls; cached; wall_us; vforensics = None },
-                  Some (Job.repr spec) )
-            | Experiment.Job_failed f ->
-                ( Protocol.Error
-                    ( Protocol.Failed,
-                      Printf.sprintf "%s after %d attempt(s): %s" f.Experiment.fail_reason
-                        f.Experiment.fail_attempts f.Experiment.fail_error ),
-                  Some (Job.repr spec) ))
-      in
-      session.Session.served <- session.Session.served + 1;
-      Atomic.incr t.served;
-      (match reply with Protocol.Error _ -> Atomic.incr t.errors | _ -> ());
-      send_reply t cfd ~index:i ?ckey { Protocol.rrid = rid; reply })
-    slots
-
 let handle_conn t cfd =
   let session =
     Session.create ~quota_rps:t.cfg.quota_rps ~quota_burst:t.cfg.quota_burst ()
@@ -450,16 +294,7 @@ let handle_conn t cfd =
        | None -> ()
        | Some payload ->
            (match Protocol.decode_request payload with
-           | Ok { Protocol.rid; body = Protocol.Batch n } ->
-               handle_batch t session cfd ~rid n
-           | Ok req ->
-               let resp = handle t session req in
-               let ckey =
-                 match req.Protocol.body with
-                 | Protocol.Run p -> Some (chaos_key_of_run p)
-                 | _ -> None
-               in
-               send_reply t cfd ?ckey resp
+           | Ok req -> Protocol.write_frame cfd (Protocol.encode_response (handle t session req))
            | Error msg ->
                Atomic.incr t.served;
                Atomic.incr t.errors;
@@ -472,7 +307,7 @@ let handle_conn t cfd =
      logf t "session %d (%s): %d request(s), %d quota reject(s)" session.Session.sid
        session.Session.client session.Session.served session.Session.rejected
    with
-  | Protocol.Closed | Chaos_drop | Unix.Unix_error _ | Failure _ -> ()
+  | Protocol.Closed | Unix.Unix_error _ | Failure _ -> ()
   | e -> logf t "connection error: %s" (Printexc.to_string e));
   (try Unix.close cfd with Unix.Unix_error _ -> ());
   Atomic.decr t.conns

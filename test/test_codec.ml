@@ -163,7 +163,7 @@ let pinned_error_frame =
   "{\"v\":1,\"id\":5,\"t\":\"error\",\"code\":\"bad-request\",\"msg\":\"bad \\\"x\\\"\\n\\u001f\"}"
 
 let pinned_verdict_frame =
-  "{\"v\":1,\"id\":6,\"i\":2,\"t\":\"verdict\",\"sf\":true,\"co\":false,\"ndet\":false,\"ddet\":true,\"timeout\":false,\"t2d\":17,\"cost\":4242,\"peak_heap\":640,\"cached\":true,\"wall_us\":12,\"forensics\":\"{\\\"fate\\\":\\\"a\\tb\\\"}\"}"
+  "{\"v\":1,\"id\":6,\"t\":\"verdict\",\"sf\":true,\"co\":false,\"ndet\":false,\"ddet\":true,\"timeout\":false,\"t2d\":17,\"cost\":4242,\"peak_heap\":640,\"cached\":true,\"wall_us\":12,\"forensics\":\"{\\\"fate\\\":\\\"a\\tb\\\"}\"}"
 
 let test_pinned_job_bytes () =
   List.iter2
@@ -181,7 +181,7 @@ let test_pinned_record_and_wire_bytes () =
   Alcotest.(check string) "error frame" pinned_error_frame
     (Protocol.encode_response error_frame);
   Alcotest.(check string) "verdict frame" pinned_verdict_frame
-    (Protocol.encode_response ~index:2 verdict_frame)
+    (Protocol.encode_response verdict_frame)
 
 (* ---- the codec round-trips ---- *)
 

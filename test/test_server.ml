@@ -3,8 +3,9 @@
    requests/responses), framing over a real socketpair, token-bucket
    quotas, IR registration, and one end-to-end daemon exercising the
    socket path: boot on a Unix socket in a temp dir, serve golden /
-   no-fault / fault-injected / forensics requests, compare verdicts
-   against the in-process engine, then drain. *)
+   no-fault / fault-injected / N-version / site-reference / forensics
+   requests, compare verdicts against the in-process engine, then
+   drain. *)
 
 module Config = Dpmr_core.Config
 module Experiment = Dpmr_fi.Experiment
@@ -53,7 +54,7 @@ let sample_runs =
       exp_seed = -1L;
       run_seed = Int64.max_int;
     };
-    (* an explicit site reference (the dispatcher ships resolved sites) *)
+    (* an explicit site reference instead of a site-list index *)
     {
       Protocol.default_run with
       Protocol.kind = Some Inject.Immediate_free;
@@ -258,6 +259,19 @@ let test_framing_socketpair () =
   Unix.close a;
   Alcotest.(check (option string)) "clean EOF reads as None" None
     (Protocol.read_frame b);
+  Unix.close b;
+  (* a torn frame: the length prefix promises [n] bytes, half arrive,
+     then the peer hangs up — a mid-frame EOF, never a short payload *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let n = 64 in
+  let torn = Bytes.make (4 + (n / 2)) 'z' in
+  Bytes.set_int32_be torn 0 (Int32.of_int n);
+  ignore (Unix.write a torn 0 (Bytes.length torn));
+  Unix.close a;
+  (match Protocol.read_frame b with
+  | exception Protocol.Closed -> ()
+  | Some p -> Alcotest.failf "torn frame read as a %d-byte payload" (String.length p)
+  | None -> Alcotest.fail "torn frame read as a clean EOF");
   Unix.close b
 
 (* ---- token bucket ---- *)
@@ -317,7 +331,21 @@ let expect_verdict = function
         msg
   | _ -> Alcotest.fail "expected a verdict"
 
+(* A raw frame on its own connection, answered within [timeout] seconds
+   (a daemon that waits for more frames fails the read, not the suite). *)
+let raw_exchange sock payload =
+  let c = Client.connect_unix ~timeout:10. sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  match c.Client.fd with
+  | None -> Alcotest.fail "client lost its socket"
+  | Some fd -> (
+      Protocol.write_frame fd payload;
+      match Protocol.read_frame fd with
+      | Some reply -> Protocol.decode_response reply
+      | None -> Alcotest.fail "daemon hung up without a reply")
+
 let test_daemon_end_to_end () =
+  Dpmr_nversion.Families.ensure ();
   in_tmp_dir @@ fun dir ->
   let engine =
     Engine.create ~jobs:2 ~use_cache:true ~cache_dir:(Filename.concat dir "cache") ()
@@ -334,8 +362,14 @@ let test_daemon_end_to_end () =
   (match Client.hello c "test_server" with
   | Protocol.Ack _ -> ()
   | _ -> Alcotest.fail "hello not acked");
-  (* golden, DPMR no-fault, fault-injected: each answered and each equal
-     to the same spec computed through the in-process resolution path *)
+  (* golden, DPMR no-fault, fault-injected, N-version and site-reference
+     runs: each answered and each equal to the same spec computed through
+     the in-process resolution path *)
+  let by_ref =
+    let p = run_req "art" (`Fi Inject.Off_by_one) in
+    let sites = Experiment.sites (Engine.experiment_for (Server.probe_spec p)) Inject.Off_by_one in
+    { p with Protocol.site_ref = Some (List.nth sites 1) }
+  in
   List.iter
     (fun p ->
       let v = expect_verdict (Client.run c p) in
@@ -347,7 +381,25 @@ let test_daemon_end_to_end () =
       run_req "mcf" `Nofi;
       run_req "mcf" (`Fi Inject.Immediate_free);
       run_req "art" (`Fi (Inject.Heap_array_resize 50));
+      {
+        (run_req "mcf" (`Fi Inject.Immediate_free)) with
+        Protocol.replicas = 3;
+        families = [ "layout-perm"; "pad-jitter" ];
+        vote = Config.Majority;
+      };
+      by_ref;
     ];
+  (* a site reference names the same site as its site-list index *)
+  Alcotest.(check bool) "site_ref verdict = site-index verdict" true
+    ((expect_verdict (Client.run c by_ref)).Protocol.cls
+    = (expect_verdict
+         (Client.run c { by_ref with Protocol.site = 1; site_ref = None })).Protocol.cls);
+  (* [batch] is not a request type: it is answered bad-request at once,
+     not left waiting for the frames it announces *)
+  (match raw_exchange sock "{\"v\":1,\"id\":5,\"t\":\"batch\",\"n\":2}" with
+  | Ok { Protocol.reply = Protocol.Error (Protocol.Bad_request, _); _ } -> ()
+  | Ok _ -> Alcotest.fail "a batch frame must be answered bad-request"
+  | Error e -> Alcotest.failf "malformed reply to a batch frame: %s" e);
   (* repeat submission is served from the federated cache *)
   let v = expect_verdict (Client.run c (run_req "mcf" `Nofi)) in
   Alcotest.(check bool) "repeat submission hits the cache" true v.Protocol.cached;
@@ -428,41 +480,6 @@ let stop (t, d, engine, _) =
   Server.request_drain t;
   Domain.join d;
   Engine.close engine
-
-let test_batch_round_trip () =
-  in_tmp_dir @@ fun dir ->
-  let ((t, _, _, sock) as srv) = boot dir "batch" in
-  Fun.protect ~finally:(fun () -> stop srv) @@ fun () ->
-  let c = Client.connect_unix sock in
-  let params =
-    [
-      run_req "mcf" `Golden;
-      run_req "mcf" `Nofi;
-      { Protocol.default_run with Protocol.workload = "nope" };
-      run_req "mcf" (`Fi Inject.Immediate_free);
-    ]
-  in
-  let replies = Client.run_batch c params in
-  Alcotest.(check int) "one reply per batch item" (List.length params)
-    (List.length replies);
-  List.iteri
-    (fun i (p, reply) ->
-      match (i, reply) with
-      | 2, Protocol.Error (Protocol.Unknown_workload, _) -> ()
-      | 2, _ -> Alcotest.fail "bad batch item must fail alone, in its slot"
-      | _, _ ->
-          let v = expect_verdict reply in
-          let local = expect_verdict (Server.run_one t p) in
-          Alcotest.(check bool)
-            (Printf.sprintf "batch verdict %d = in-process verdict" i)
-            true
-            (v.Protocol.cls = local.Protocol.cls))
-    (List.combine params replies);
-  (* a zero-length batch header is malformed: typed error, not a hang *)
-  (match Client.call c (Protocol.Batch 0) with
-  | Protocol.Error (Protocol.Bad_request, _) -> ()
-  | _ -> Alcotest.fail "empty batch header must be rejected");
-  Client.close c
 
 let test_max_conns_busy () =
   in_tmp_dir @@ fun dir ->
@@ -548,7 +565,6 @@ let suites =
     ( "server/daemon",
       [
         Alcotest.test_case "end to end over unix socket" `Quick test_daemon_end_to_end;
-        Alcotest.test_case "batch round-trip" `Quick test_batch_round_trip;
         Alcotest.test_case "max-conns refuses with busy" `Quick test_max_conns_busy;
         Alcotest.test_case "client without budget fails fast" `Quick
           test_client_no_reconnect_fails_fast;

@@ -56,6 +56,8 @@ let test_double_roundtrip_stable () =
   let t2 = Text.emit (Text.parse t1) in
   Alcotest.(check string) "emit is a fixpoint after one round" t1 t2
 
+let duplicate_label = "func @main() : i32 {\nbase:\n  ret 0:i32\nbase:\n  ret 1:i32\n}\n"
+
 let test_parse_errors () =
   let bad =
     [
@@ -63,6 +65,7 @@ let test_parse_errors () =
       ("func @f( : i32 {", "bad param");
       ("struct S { badtype }", "unknown type");
       ("wibble", "unknown top-level");
+      (duplicate_label, "duplicate label");
     ]
   in
   List.iter
@@ -73,6 +76,48 @@ let test_parse_errors () =
            false
          with Text.Parse_error _ -> true))
     bad
+
+(* Programs that parse but are ill-formed: the verifier must reject them
+   with [Ill_formed] rather than let a lookup raise [Invalid_argument]. *)
+let ill_formed =
+  [
+    ( "branch to a missing label",
+      "func @main() : i32 {\nentry:\n  br nowhere\n}\n" );
+    ( "malloc of an undefined type",
+      "func @main() : i32 {\nentry:\n  %q : %nosuch* = malloc %nosuch, 1:i64\n  ret 0:i32\n}\n" );
+    ( "struct holding an undefined type",
+      "struct S { %T }\nfunc @main() : i32 {\nentry:\n  %p : %S* = malloc %S, 1:i64\n  \
+       ret 0:i32\n}\n" );
+    ( "global of an undefined type",
+      "global g : %T\nfunc @main() : i32 {\nentry:\n  ret 0:i32\n}\n" );
+    ( "load of an undefined global",
+      "func @main() : i32 {\nentry:\n  %v : i64 = load i64, @nog\n  ret 0:i32\n}\n" );
+  ]
+
+let test_verifier_ill_formed () =
+  List.iter
+    (fun (what, src) ->
+      let p = Text.parse src in
+      Dpmr_vm.Extern.declare_signatures p;
+      match Verifier.check_prog p with
+      | () -> Alcotest.failf "%s: verifier accepted the program" what
+      | exception Verifier.Ill_formed _ -> ())
+    ill_formed
+
+(* [dpmr runfile] turns a parse error or an ill-formed program into one
+   [file: message] line and exit 1, never an uncaught exception *)
+let test_runfile_diagnostics () =
+  List.iter
+    (fun (what, src) ->
+      let file = Filename.temp_file "dpmr_bad" ".ir" in
+      Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+      Out_channel.with_open_bin file (fun oc -> output_string oc src);
+      let rc, _, err = Test_codec.run_cli [ "runfile"; file; "--plain" ] in
+      Alcotest.(check int) (what ^ ": exit status") 1 rc;
+      Alcotest.(check bool) (what ^ ": one line naming the file") true
+        (String.starts_with ~prefix:(file ^ ":") err
+        && String.index_opt err '\n' = Some (String.length err - 1)))
+    (("duplicate label", duplicate_label) :: ill_formed)
 
 let test_comments_and_blank_lines () =
   let src =
@@ -178,6 +223,8 @@ let suites =
           test_transformed_roundtrip;
         Alcotest.test_case "emit is stable" `Quick test_double_roundtrip_stable;
         Alcotest.test_case "parse errors reported" `Quick test_parse_errors;
+        Alcotest.test_case "verifier: ill-formed programs" `Quick test_verifier_ill_formed;
+        Alcotest.test_case "runfile diagnostics" `Quick test_runfile_diagnostics;
         Alcotest.test_case "comments and blanks" `Quick test_comments_and_blank_lines;
         Alcotest.test_case "hand-written program" `Quick test_handwritten_program;
       ]
