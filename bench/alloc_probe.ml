@@ -1,13 +1,16 @@
 (* Per-instruction-class allocation probe: tight IR loops of one
-   instruction class, run through the lowered engine and the compiled
-   tier, bytes allocated per executed instruction printed for each.
+   instruction class, run through the production engine and the
+   reference tree-walker, bytes allocated per loop iteration printed for
+   each.
 
    The compiled column is asserted ~0: once a function's closures are
    built (cached on the shared lowered program), the steady-state loop
    must be allocation-free — operand shapes are pre-bound, block and
-   terminator closures return immediate ints, and the frame is the same
-   unboxed lframe the lowered engine uses.  The simulated cost must also
-   agree across tiers exactly. *)
+   terminator closures return immediate ints, and the frame is an
+   unboxed byte register file.  The simulated cost must also agree with
+   the reference engine exactly.
+
+   Run with: dune exec bench/alloc_probe.exe *)
 open Dpmr_ir
 open Types
 open Inst
@@ -29,9 +32,8 @@ let with_tier mode f =
   Vm.set_tier_mode mode;
   Fun.protect ~finally:(fun () -> Vm.set_tier_mode old) f
 
-(* steady-state bytes/iteration: one warmup run (which also compiles,
-   under the compiled tier — the closures cache on [lowered]), then one
-   measured run *)
+(* steady-state bytes/iteration: one warmup run (which also compiles —
+   the closures cache on [lowered]), then one measured run *)
 let steady_state lowered p =
   let r0 = Dpmr.run_plain ~lowered p in
   assert (r0.Dpmr_vm.Outcome.outcome = Dpmr_vm.Outcome.Normal);
@@ -43,12 +45,11 @@ let steady_state lowered p =
 let probe label fill =
   let p = mk_prog fill in
   let lowered = Dpmr_vm.Lower.lower_prog p in
-  let low, cost = with_tier Vm.Tier_lowered (fun () -> steady_state lowered p) in
-  let comp, cost' =
-    with_tier Vm.Tier_compiled (fun () -> steady_state lowered p)
-  in
-  Printf.printf "%-20s lowered %8.1f B/loop-iter   compiled %8.1f B/loop-iter  (cost %Ld)\n%!"
-    label low comp cost;
+  let comp, cost = steady_state lowered p in
+  let refr, cost' = with_tier Vm.Tier_ref (fun () -> steady_state lowered p) in
+  Printf.printf
+    "%-20s compiled %8.1f B/loop-iter   reference %8.1f B/loop-iter  (cost %Ld)\n%!"
+    label comp refr cost;
   assert (Int64.equal cost cost');
   (* allocation-free modulo per-run VM setup amortized over [n] iters *)
   assert (comp < 0.5)

@@ -421,20 +421,19 @@ let report_cmd =
   let tier_t =
     Arg.(
       value
-      & opt (some (enum [ ("auto", Dpmr_vm.Vm.Tier_auto);
-                          ("ref", Dpmr_vm.Vm.Tier_ref);
-                          ("lowered", Dpmr_vm.Vm.Tier_lowered);
-                          ("compiled", Dpmr_vm.Vm.Tier_compiled) ])) None
-      & info [ "tier" ] ~docv:"auto|ref|lowered|compiled"
+      & opt
+          (enum [ ("compiled", Dpmr_vm.Vm.Tier_compiled); ("ref", Dpmr_vm.Vm.Tier_ref) ])
+          Dpmr_vm.Vm.Tier_compiled
+      & info [ "tier" ] ~docv:"compiled|ref"
           ~doc:
-            "Force the execution tier (overrides DPMR_TIER): the reference \
-             tree-walker, the lowered interpreter only, or closure-compilation \
-             of every function at first entry.  Output is byte-identical \
-             across tiers.")
+            "Execution engine: the production engine, which compiles each \
+             function at its first call, or the reference tree-walker (the \
+             executable specification).  Output is byte-identical across \
+             engines.")
   in
   let go id fig scale seed reps replicas families vote jobs no_cache chaos deadline
       retries backoff_ms telemetry_json tier =
-    (match tier with None -> () | Some m -> Dpmr_vm.Vm.set_tier_mode m);
+    Dpmr_vm.Vm.set_tier_mode tier;
     (match chaos with
     | None -> () (* DPMR_CHAOS, if set, still applies via Chaos.active *)
     | Some "0" -> Chaos.set None

@@ -24,9 +24,6 @@ val parse : string -> t option
 (** ["1"], ["0.3"] or ["0.3,7"] ([prob[,seed]]); [None] on junk or
     [prob <= 0]. *)
 
-val of_env : unit -> t option
-(** Parse [DPMR_CHAOS] (unset, [""] and ["0"] mean off). *)
-
 val set : t option -> unit
 (** Set the process-wide chaos config.  Call before worker domains
     spawn; workers only read. *)
@@ -37,11 +34,6 @@ val active : unit -> t option
 
 val with_chaos : t option -> (unit -> 'a) -> 'a
 (** Run with the config pinned, restoring the previous one after. *)
-
-type action = Fail | Delay of float
-
-val plan : t -> key:string -> attempt:int -> action option
-(** The (pure) decision for one worker attempt. *)
 
 val attempt_fault : key:string -> attempt:int -> unit
 (** Execute the decision: no-op, brief stall, or raise

@@ -105,11 +105,17 @@ let progress_fn t n =
 
 (* ---------------- batch execution ---------------- *)
 
+(* the end is marked on a raise too, so a failed batch cannot leave the
+   telemetry's wall account open *)
+let in_batch t f =
+  Telemetry.batch_begin t.telemetry;
+  Fun.protect ~finally:(fun () -> Telemetry.batch_end t.telemetry) f
+
 let run_specs_r t specs =
   match specs with
   | [] -> []
   | _ ->
-      let t0 = Telemetry.now () in
+      in_batch t @@ fun () ->
       let n = List.length specs in
       let keyed = List.map (fun s -> (Job.hash ~salt:t.salt s, s)) specs in
       let results = Array.make n None in
@@ -165,7 +171,6 @@ let run_specs_r t specs =
         (Pool.map t.pool ?progress:(progress_fn t (List.length to_run)) exec to_run);
       Telemetry.record_retries t.telemetry (Supervisor.retries t.supervisor - retries_before);
       Option.iter Cache.flush t.cache;
-      Telemetry.record_batch t.telemetry ~wall:(Telemetry.now () -. t0);
       Array.to_list results
       |> List.map (function
            | Some r -> r
@@ -190,7 +195,7 @@ let run_tasks t thunks =
   match thunks with
   | [] -> []
   | _ ->
-      let t0 = Telemetry.now () in
+      in_batch t @@ fun () ->
       let outs =
         Pool.map t.pool
           (fun f ->
@@ -200,7 +205,6 @@ let run_tasks t thunks =
           thunks
       in
       List.iter (fun (_, wall) -> Telemetry.record_task t.telemetry ~wall) outs;
-      Telemetry.record_batch t.telemetry ~wall:(Telemetry.now () -. t0);
       List.map fst outs
 
 (* ---------------- summary ---------------- *)

@@ -9,10 +9,13 @@ type t = {
   mutable tasks_run : int;  (** uncached ad-hoc tasks ([Engine.run_tasks]) *)
   mutable cost_units : int64;  (** simulated cost consumed by executed jobs *)
   mutable busy_seconds : float;  (** sum of per-job wall times *)
-  mutable wall_seconds : float;  (** elapsed time inside engine batches *)
+  mutable wall_seconds : float;
+      (** elapsed time during which at least one batch was active *)
   mutable batches : int;
   mutable trace : Dpmr_trace.Trace.summary;
       (** merged per-domain trace-sink summaries (traced campaigns only) *)
+  mutable active : int;  (** batches begun and not yet ended *)
+  mutable active_since : float;  (** when [active] last rose from 0 *)
   mu : Mutex.t;
 }
 
@@ -28,6 +31,8 @@ let create () =
     wall_seconds = 0.;
     batches = 0;
     trace = Dpmr_trace.Trace.zero_summary;
+    active = 0;
+    active_since = 0.;
     mu = Mutex.create ();
   }
 
@@ -57,10 +62,20 @@ let record_trace t s =
   Mutex.protect t.mu (fun () ->
       t.trace <- Dpmr_trace.Trace.add_summary t.trace s)
 
-let record_batch t ~wall =
+(* Wall time is the union of the batches' intervals: the daemon's
+   connection domains run batches at the same time, and a sum would count
+   each overlap once per batch. *)
+let batch_begin t =
+  Mutex.protect t.mu (fun () ->
+      if t.active = 0 then t.active_since <- now ();
+      t.active <- t.active + 1)
+
+let batch_end t =
   Mutex.protect t.mu (fun () ->
       t.batches <- t.batches + 1;
-      t.wall_seconds <- t.wall_seconds +. wall)
+      t.active <- t.active - 1;
+      if t.active = 0 then
+        t.wall_seconds <- t.wall_seconds +. (now () -. t.active_since))
 
 (** Estimated speedup of the engine over running every executed job
     back-to-back on one domain: busy time over batch wall time.  [None]
@@ -69,11 +84,11 @@ let speedup_estimate t =
   if t.wall_seconds > 1e-6 && t.busy_seconds > 0. then Some (t.busy_seconds /. t.wall_seconds)
   else None
 
-(* [tier] = (functions promoted, deopts) from [Vm.tier_stats]: a
+(* [tier] = (functions compiled, deopts) from [Vm.tier_stats]: a
    process-global counter pair the engine samples at summary time,
    passed in rather than read here to keep this module free of VM
-   dependencies.  Only surfaced when the tier actually fired, so
-   historical summary shapes are preserved. *)
+   dependencies.  Only surfaced when a function was compiled, so
+   reference-engine runs keep the historical summary shape. *)
 
 let summary_lines ?(tier = (0, 0)) t ~workers
     ~(cache : Cache.stats option) =
@@ -112,10 +127,10 @@ let summary_lines ?(tier = (0, 0)) t ~workers
       t.busy_seconds t.wall_seconds t.batches speed t.cost_units
   in
   let tier_lines =
-    let promoted, deopts = tier in
-    if promoted = 0 && deopts = 0 then []
+    let compiled, deopts = tier in
+    if compiled = 0 && deopts = 0 then []
     else
-      [ Printf.sprintf "[engine] tier: %d function(s) promoted, %d deopt(s)" promoted deopts ]
+      [ Printf.sprintf "[engine] tier: %d function(s) compiled, %d deopt(s)" compiled deopts ]
   in
   let base = [ first; cache_line; time_line ] @ tier_lines in
   (* only surfaced when a trace sink actually recorded something, so
@@ -165,8 +180,10 @@ let to_json ?(tier = (0, 0)) t ~workers
       add
         "  \"cache\": { \"hits\": %d, \"lookups\": %d, \"hit_rate_pct\": %.1f, \"added\": %d, \"evicted\": %d, \"damaged\": %d },\n"
         c.Cache.hits looked pct c.Cache.added c.Cache.evicted c.Cache.damaged);
-  (let promoted, deopts = tier in
-   add "  \"tier\": { \"promoted\": %d, \"deopts\": %d },\n" promoted deopts);
+  (* the key keeps its historical name: [promoted] counts compiled
+     functions *)
+  (let compiled, deopts = tier in
+   add "  \"tier\": { \"promoted\": %d, \"deopts\": %d },\n" compiled deopts);
   let tr = t.trace in
   add
     "  \"trace\": { \"emitted\": %d, \"dropped\": %d, \"comparisons\": %d, \"detections\": %d, \"fi_marks\": %d }\n"

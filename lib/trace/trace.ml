@@ -146,23 +146,15 @@ let[@inline] emit_fi_mark t ~cost =
 let emit_phase t ~label =
   put t k_phase (t.clock ()) (Int64.of_int (intern t label)) 0L 0L
 
+(* Tier events are no longer emitted (one engine runs every function);
+   their codes (0 refused, 1 promote, 2 deopt) still decode, so traces
+   recorded before still read back. *)
 type transition = Tier_refused | Tier_promote | Tier_deopt
-
-let int_of_transition = function
-  | Tier_refused -> 0
-  | Tier_promote -> 1
-  | Tier_deopt -> 2
 
 let transition_of_int = function
   | 0 -> Tier_refused
   | 1 -> Tier_promote
   | _ -> Tier_deopt
-
-let emit_tier t ~cost ~fname ~transition =
-  put t k_tier cost
-    (Int64.of_int (intern t fname))
-    (Int64.of_int (int_of_transition transition))
-    0L
 
 (* ---- domain-local installation --------------------------------------- *)
 

@@ -1,35 +1,29 @@
-(** Closure-compiled top tier for hot lowered functions.
+(** The production engine: closure compilation of lowered functions.
 
-    The lowered engine ({!Vm}) already executes pre-resolved arrays, but
-    every instruction still pays a dispatch: fetch, a 20-way match, and
-    re-interpretation of operand shapes that were fixed at lowering time.
-    This module removes that residue by compiling each {!Lower.lfunc}
-    once — when its telemetry says it is hot — into a tree of pre-bound
-    OCaml closures: one closure per basic block, with straight-line runs
-    of instructions fused into superinstruction chains and the operand
-    shapes ([Lreg]/[Lconst]) burned into each closure's body.
+    {!Lower} resolves every static fact of a function once; this module
+    turns the result into a tree of pre-bound OCaml closures at the
+    function's first call: one closure per basic block, with
+    straight-line runs of instructions fused into superinstruction
+    chains and the operand shapes ([Lreg]/[Lconst]) burned into each
+    closure's body.  Every defined function runs here, from its first
+    call to its return, traced or not, fault activation included; the
+    reference tree-walker ({!Vm.run_reference}) is the only other
+    engine and serves as the executable specification.
 
-    Fidelity contract: the compiled tier charges the {!Cost} model at the
+    Fidelity contract: the compiled code charges the {!Cost} model at the
     same program points, evaluates operands in the same order, raises the
-    same exceptions from the same states and writes the same register
-    bits as the lowered engine — byte-identical outcomes, enforced by the
-    three-tier differential suite.  Two deliberate structural deviations,
-    both invisible to behaviour:
+    same exceptions from the same states and emits the same trace events
+    as the reference engine — byte-identical outcomes, enforced by the
+    differential suites and by pinned trace-stream digests.  One
+    deliberate structural deviation, invisible to behaviour: the
+    step-poll hook is captured once per call instead of read per block —
+    the hook is installed by a supervisor before the run and cannot
+    change underneath a running domain.
 
-    - trace emission is absent: {!Vm} only promotes when no sink is
-      installed (and a sink cannot appear mid-run — it is captured at
-      [Vm.create]), so the omitted events could never have fired;
-    - the step-poll hook is captured once per tier entry instead of read
-      per block — the hook is installed by a supervisor before the run
-      and cannot change underneath a running domain.
-
-    Nothing else pins a function to the lowered engine: fault-injection
-    marks are extern calls that read the same cost counter, which this
-    tier charges at the same points, so compiled code runs straight
-    through an activated fault.  Entry shares the lowered tier's
-    {!Machine.lframe} (promotion mid-run is on-stack replacement with no
-    state copy), and there is no way back: a compiled entry runs until
-    the function returns or raises.
+    Trace emission costs one immediate test per would-be event when no
+    sink is installed: the sink is captured into {!cstate} at each call,
+    and every event site tests [st.trace] exactly as the events'
+    producers elsewhere do.
 
     Boxing discipline (the whole point of the exercise): a closure that
     {e returns} an [int64] or [float], or passes one to another closure,
@@ -44,19 +38,20 @@
 open Dpmr_ir
 open Dpmr_memsim
 module L = Lower
+module Trace = Dpmr_trace.Trace
 
-(* Process-wide tier telemetry.  An atomic, not a per-VM field:
-   promotion mutates shared [lfunc] state under the lowering table's
-   publication discipline, and report jobs run one VM per domain — a
-   global counter is race-free to read and keeps [cstate] free of
-   accounting. *)
-let promotions = Atomic.make 0
-let n_promotions () = Atomic.get promotions
+(* Process-wide count of compiled functions.  An atomic, not a per-VM
+   field: compilation mutates shared [lfunc] state under the lowering
+   table's publication discipline, and report jobs run one VM per
+   domain — a global counter is race-free to read and keeps [cstate]
+   free of accounting. *)
+let compiled = Atomic.make 0
+let n_compiled () = Atomic.get compiled
 
 (** Everything the compiled code needs from the VM.  A functor parameter
     rather than a direct [Vm] dependency because [Vm] sits {e above}
-    this module: it instantiates {!Make} after its recursive execution
-    knot and ties the result into [Vm.tier_enter]. *)
+    this module: it instantiates {!Make} before its reference engine,
+    whose calls into defined functions land in {!Make.call}. *)
 module type RUNTIME = sig
   type t
 
@@ -69,32 +64,41 @@ module type RUNTIME = sig
   val global_address : t -> string -> int64
   val fun_address : t -> string -> int64
 
-  val call_lfun : t -> L.lfunc -> L.value array -> L.value option
-  (** call a lowered function (the callee runs on whatever tier its own
-      telemetry selects) *)
+  val trace : t -> Trace.t option
+  (** the sink captured when the VM was created *)
+
+  val enter_call : t -> unit
+  (** count one call level; raises [Vm_error "stack overflow"] past the
+      VM's depth limit *)
+
+  val leave_call : t -> unit
+
+  val lfunc : t -> string -> L.lfunc option
+  (** the defined function of that name, if any *)
 
   val call_extern_slot : t -> int -> string -> L.value array -> L.value option
-  (** direct extern call through the per-VM slot cache, with the lowered
+  (** direct extern call through the per-VM slot cache, in the reference
       engine's resolution order (slot, extern table, unknown) *)
+
+  val call_extern : t -> string -> L.value array -> L.value option
+  (** extern call by name; raises for an unknown function *)
 
   val indirect_name : t -> int64 -> string
   (** reverse function-address lookup; faults on unmapped addresses
-      {e before} argument evaluation, like the lowered engine *)
-
-  val call_named : t -> string -> L.value array -> L.value option
-  (** indirect-call completion: defined function, extern, or unknown *)
+      {e before} argument evaluation, like the reference engine *)
 end
 
 module Make (R : RUNTIME) = struct
-  (* Per-entry execution state: one record allocated per tier entry,
-     threading everything hot through a single immediate argument.
-     [mem]/[alloc]/[budget] are stable for the duration of a run, so
-     they are hoisted out of the VM record once here. *)
+  (* Per-call execution state: one record allocated per call, threading
+     everything hot through a single immediate argument.  All fields but
+     [fr]/[cret] are stable for the duration of a run; {!call} reads
+     them out of the VM once per call. *)
   type cstate = {
     rt : R.t;
     cost : int ref;  (* the VM's own counter, captured once *)
     budget : int;
     poll : (unit -> unit) option;
+    trace : Trace.t option;
     mem : Mem.t;
     alloc : Allocator.t;
     fr : Machine.lframe;
@@ -105,9 +109,9 @@ module Make (R : RUNTIME) = struct
 
   (* ---- generic operand evaluators (cold-shape fallback) ------------ *)
 
-  (* Same semantics as [Vm.leval_int]/[leval_float]/[leval], including
-     the error texts and the [Lfun_name] address-assignment side effect
-     preceding a type mismatch. *)
+  (* Same semantics as the reference engine's [as_int]/[as_float] of an
+     evaluated operand, including the error texts and the [Lfun_name]
+     address-assignment side effect preceding a type mismatch. *)
 
   let op_int (o : L.lop) : cstate -> int64 =
     match o with
@@ -144,8 +148,7 @@ module Make (R : RUNTIME) = struct
     | L.Lglobal g -> fun st -> L.I (R.global_address st.rt g)
     | L.Lfun_name f -> fun st -> L.I (R.fun_address st.rt f)
 
-  (* [Vm.copy_op]: register sources move bits+tag; everything else goes
-     through boxed evaluation. *)
+  (* register-to-register moves copy bits and tag without boxing *)
   let cop_copy (r : int) (o : L.lop) : step =
     match o with
     | L.Lreg s ->
@@ -181,8 +184,8 @@ module Make (R : RUNTIME) = struct
         | L.Lfun_name f ->
             fun st addr -> Mem.write_int st.mem addr n (R.fun_address st.rt f))
     | L.Kfloat ->
-        (* a float slot takes any value's bits verbatim, as in
-           [Vm.exec_store_at] *)
+        (* a float slot takes any value's bits verbatim: [F f] writes
+           [bits_of_float f], [I y] writes [y] reinterpreted *)
         let bits : cstate -> int64 =
           match v with
           | L.Lreg s -> fun st -> Machine.reg_get st.fr.Machine.bits (s lsl 3)
@@ -209,14 +212,169 @@ module Make (R : RUNTIME) = struct
              (Printf.sprintf "%s returned void, result expected" name))
     | None, _ -> ()
 
+  (* ---- trace events ------------------------------------------------- *)
+
+  (* A store is on record after its cost charge and address evaluation
+     and before its value is evaluated, so a faulting store still shows. *)
+  let[@inline] trace_store st addr bytes =
+    match st.trace with
+    | None -> ()
+    | Some s -> Trace.emit_store s ~cost:!(st.cost) ~addr ~bytes
+
+  let store_bytes = function L.Kint n -> n | L.Kfloat -> 8 | L.Kbad -> 0
+
+  (* an inline replica load-check that passed (the branch left the
+     detection block); the site has no address at branch time *)
+  let trace_compare st =
+    match st.trace with
+    | None -> ()
+    | Some s -> Trace.emit_compare s ~cost:!(st.cost) ~app:(-1L) ~rep:(-1L) ~len:0
+
+  (* ---- terminators ------------------------------------------------- *)
+
+  let resolve = function L.Bidx i -> i | L.Braise e -> raise e
+
+  (* Conditional branches.  [Lcheck] is [Lcbr] plus a compare event when
+     the branch leaves the detection block: [d1]/[d2] say which targets
+     are detection blocks, and [Lcbr] passes [true, true], so it never
+     emits.  The event follows the branch charge and precedes target
+     resolution, which may raise. *)
+  let[@inline] take st v t1 t2 d1 d2 =
+    if Int64.equal v 0L then begin
+      if not d2 then trace_compare st;
+      t2
+    end
+    else begin
+      if not d1 then trace_compare st;
+      t1
+    end
+
+  let cbr c t1 t2 d1 d2 : cstate -> int =
+    match (c, t1, t2) with
+    | L.Lreg r, L.Bidx i1, L.Bidx i2 ->
+        fun st ->
+          st.cost := !(st.cost) + Cost.cond_branch;
+          take st (Machine.reg_int st.fr r) i1 i2 d1 d2
+    | _ ->
+        let ec = op_int c in
+        fun st ->
+          st.cost := !(st.cost) + Cost.cond_branch;
+          resolve (take st (ec st) t1 t2 d1 d2)
+
+  (* fused compare-and-branch, shared by [Lcmpbr] and [Lcmpcheck] in the
+     same way *)
+  let cmpbr r c w a b t1 t2 d1 d2 : cstate -> int =
+    match (a, b, t1, t2) with
+    | L.Lreg ra, L.Lreg rb, L.Bidx i1, L.Bidx i2 ->
+        fun st ->
+          st.cost := !(st.cost) + Cost.cmp;
+          let fr = st.fr in
+          let vb = Machine.reg_int fr rb in
+          let va = Machine.reg_int fr ra in
+          let v = Machine.exec_icmp c w va vb in
+          Machine.set_int fr r v;
+          st.cost := !(st.cost) + Cost.cond_branch;
+          take st v i1 i2 d1 d2
+    | L.Lreg ra, L.Lconst (L.I kb), L.Bidx i1, L.Bidx i2 ->
+        fun st ->
+          st.cost := !(st.cost) + Cost.cmp;
+          let fr = st.fr in
+          let va = Machine.reg_int fr ra in
+          let v = Machine.exec_icmp c w va kb in
+          Machine.set_int fr r v;
+          st.cost := !(st.cost) + Cost.cond_branch;
+          take st v i1 i2 d1 d2
+    | _ ->
+        let eb = op_int b and ea = op_int a in
+        fun st ->
+          st.cost := !(st.cost) + Cost.cmp;
+          let vb = eb st in
+          let va = ea st in
+          let v = Machine.exec_icmp c w va vb in
+          Machine.set_int st.fr r v;
+          st.cost := !(st.cost) + Cost.cond_branch;
+          resolve (take st v t1 t2 d1 d2)
+
+  (* A terminator closure returns the next block index, or -1 for return
+     (value parked in [cret]).  An [int] return stays immediate — the one
+     closure-to-closure value the hot path is allowed to pass. *)
+  let cterm (term : L.lterm) : cstate -> int =
+    match term with
+    | L.Lbr (L.Bidx i) ->
+        fun st ->
+          st.cost := !(st.cost) + Cost.branch;
+          i
+    | L.Lbr (L.Braise e) ->
+        fun st ->
+          st.cost := !(st.cost) + Cost.branch;
+          raise e
+    | L.Lcbr (c, t1, t2) -> cbr c t1 t2 true true
+    | L.Lcheck (c, t1, t2, d1, d2) -> cbr c t1 t2 d1 d2
+    | L.Lcmpbr (r, c, w, a, b, t1, t2) -> cmpbr r c w a b t1 t2 true true
+    | L.Lcmpcheck (r, c, w, a, b, t1, t2, d1, d2) -> cmpbr r c w a b t1 t2 d1 d2
+    | L.Lret None ->
+        fun st ->
+          st.cost := !(st.cost) + Cost.ret;
+          st.cret <- None;
+          -1
+    | L.Lret (Some o) ->
+        let eo = op_val o in
+        fun st ->
+          st.cost := !(st.cost) + Cost.ret;
+          st.cret <- Some (eo st);
+          -1
+    | L.Lunreachable msg -> fun _ -> raise (Machine.Vm_error msg)
+
+  (* ---- superinstruction fusion and block assembly ------------------ *)
+
+  (* Fuse a straight-line run of steps into a right-leaning chain, up to
+     three steps per node: each node is one closure invocation for three
+     instructions, and the tail call into the next node keeps the chain
+     allocation-free at run time. *)
+  let rec fuse (steps : step array) i (term : cstate -> int) : cstate -> int =
+    let n = Array.length steps in
+    if i >= n then term
+    else if n - i >= 3 then begin
+      let a = steps.(i) and b = steps.(i + 1) and c = steps.(i + 2) in
+      let rest = fuse steps (i + 3) term in
+      fun st ->
+        a st;
+        b st;
+        c st;
+        rest st
+    end
+    else if n - i = 2 then begin
+      let a = steps.(i) and b = steps.(i + 1) in
+      fun st ->
+        a st;
+        b st;
+        term st
+    end
+    else begin
+      let a = steps.(i) in
+      fun st ->
+        a st;
+        term st
+    end
+
   (* ---- per-instruction compilation --------------------------------- *)
 
-  (* Each arm mirrors the corresponding [Vm.exec_linst] arm: same charge
+  type cfunc = (cstate -> int) array
+
+  (* The compiled code hangs off the shared [lfunc] through [Lower]'s
+     extensible attachment slot, so the lowering stays compiler-agnostic
+     and recompilation after [Make] is re-applied (it never is in
+     production: [Vm] applies it once) would just shadow the constructor. *)
+  type L.code += Compiled of cfunc
+
+  (* Each arm mirrors the reference engine's instruction: same charge
      points, same right-to-left operand order for binary ops, same
      base-then-index order for fused accesses.  The first arms of each
      group are the hot operand shapes, compiled to a single closure with
-     all reads inline; the last is the generic cold fallback. *)
-  let cinst (inst : L.linst) : step =
+     all reads inline; the last is the generic cold fallback.  Calls
+     reach back into {!call}, which compiles the callee at its first
+     call — hence one recursive knot from instructions to calls. *)
+  let rec cinst (inst : L.linst) : step =
     match inst with
     | L.Lmalloc (r, esz, n) ->
         let en = op_int n in
@@ -295,6 +453,7 @@ module Make (R : RUNTIME) = struct
             + Cost.heap_pressure (Allocator.live_bytes st.alloc);
           let fr = st.fr in
           let addr = Machine.reg_int fr p in
+          trace_store st addr n;
           if Bytes.unsafe_get fr.Machine.tags s <> '\000' then
             raise (Machine.Vm_error "store: float value into int slot");
           Mem.write_int st.mem addr n (Machine.reg_get fr.Machine.bits (s lsl 3))
@@ -303,7 +462,9 @@ module Make (R : RUNTIME) = struct
           st.cost :=
             !(st.cost) + Cost.store
             + Cost.heap_pressure (Allocator.live_bytes st.alloc);
-          Mem.write_int st.mem (Machine.reg_int st.fr p) n y
+          let addr = Machine.reg_int st.fr p in
+          trace_store st addr n;
+          Mem.write_int st.mem addr n y
     | L.Lstore (L.Kfloat, L.Lreg s, L.Lreg p) ->
         fun st ->
           st.cost :=
@@ -311,15 +472,19 @@ module Make (R : RUNTIME) = struct
             + Cost.heap_pressure (Allocator.live_bytes st.alloc);
           let fr = st.fr in
           let addr = Machine.reg_int fr p in
+          trace_store st addr 8;
           Mem.write_int st.mem addr 8 (Machine.reg_get fr.Machine.bits (s lsl 3))
     | L.Lstore (k, v, p) ->
         let ep = op_int p in
         let wr = gwrite k v in
+        let bytes = store_bytes k in
         fun st ->
           st.cost :=
             !(st.cost) + Cost.store
             + Cost.heap_pressure (Allocator.live_bytes st.alloc);
-          wr st (ep st)
+          let addr = ep st in
+          trace_store st addr bytes;
+          wr st addr
     (* address computation *)
     | L.Lgep_field (r, off, L.Lreg p) ->
         let o64 = Int64.of_int off in
@@ -367,7 +532,8 @@ module Make (R : RUNTIME) = struct
         fun st ->
           st.cost := !(st.cost) + Cost.cast;
           cp st
-    (* integer ALU: right-to-left operand order, like the lowered engine *)
+    (* integer ALU: right-to-left operand order, like the reference engine's
+       curried application *)
     | L.Lbinop (r, op, w, L.Lreg ra, L.Lreg rb) ->
         fun st ->
           st.cost := !(st.cost) + Cost.alu;
@@ -542,7 +708,7 @@ module Make (R : RUNTIME) = struct
             fun st ->
               st.cost := !(st.cost) + cost;
               let argv = eval_args st in
-              finish st r lf.L.lname (R.call_lfun st.rt lf argv)
+              finish st r lf.L.lname (call st.rt lf argv)
         | L.Lextern (slot, name) ->
             fun st ->
               st.cost := !(st.cost) + cost;
@@ -555,7 +721,7 @@ module Make (R : RUNTIME) = struct
               let addr = eo st in
               let name = R.indirect_name st.rt addr in
               let argv = eval_args st in
-              finish st r name (R.call_named st.rt name argv))
+              finish st r name (call_named st.rt name argv))
     | L.Lpoison e -> fun _ -> raise e
     (* fused superinstructions: gep charge, address compute, address-
        register write, access charge, access — the order of the
@@ -672,6 +838,7 @@ module Make (R : RUNTIME) = struct
           st.cost :=
             !(st.cost) + Cost.store
             + Cost.heap_pressure (Allocator.live_bytes st.alloc);
+          trace_store st addr n;
           if Bytes.unsafe_get fr.Machine.tags s <> '\000' then
             raise (Machine.Vm_error "store: float value into int slot");
           Mem.write_int st.mem addr n (Machine.reg_get fr.Machine.bits (s lsl 3))
@@ -687,11 +854,13 @@ module Make (R : RUNTIME) = struct
           st.cost :=
             !(st.cost) + Cost.store
             + Cost.heap_pressure (Allocator.live_bytes st.alloc);
+          trace_store st addr n;
           Mem.write_int st.mem addr n y
     | L.Lstore_idx (k, v, rp, esz, p, i) ->
         let ep = op_int p and ei = op_int i in
         let e64 = Int64.of_int esz in
         let wr = gwrite k v in
+        let bytes = store_bytes k in
         fun st ->
           st.cost := !(st.cost) + Cost.gep;
           let base = ep st in
@@ -701,6 +870,7 @@ module Make (R : RUNTIME) = struct
           st.cost :=
             !(st.cost) + Cost.store
             + Cost.heap_pressure (Allocator.live_bytes st.alloc);
+          trace_store st addr bytes;
           wr st addr
     | L.Lstore_fld (L.Kint n, L.Lreg s, rp, off, L.Lreg p) ->
         let o64 = Int64.of_int off in
@@ -712,6 +882,7 @@ module Make (R : RUNTIME) = struct
           st.cost :=
             !(st.cost) + Cost.store
             + Cost.heap_pressure (Allocator.live_bytes st.alloc);
+          trace_store st addr n;
           if Bytes.unsafe_get fr.Machine.tags s <> '\000' then
             raise (Machine.Vm_error "store: float value into int slot");
           Mem.write_int st.mem addr n (Machine.reg_get fr.Machine.bits (s lsl 3))
@@ -719,6 +890,7 @@ module Make (R : RUNTIME) = struct
         let ep = op_int p in
         let o64 = Int64.of_int off in
         let wr = gwrite k v in
+        let bytes = store_bytes k in
         fun st ->
           st.cost := !(st.cost) + Cost.gep;
           let addr = Int64.add (ep st) o64 in
@@ -726,157 +898,65 @@ module Make (R : RUNTIME) = struct
           st.cost :=
             !(st.cost) + Cost.store
             + Cost.heap_pressure (Allocator.live_bytes st.alloc);
+          trace_store st addr bytes;
           wr st addr
 
-  (* ---- terminators ------------------------------------------------- *)
-
-  let resolve = function L.Bidx i -> i | L.Braise e -> raise e
-
-  (* fused compare-and-branch, shared by [Lcmpbr] and [Lcmpcheck] (the
-     check's compare event only exists under a trace sink, which the
-     compiled tier never runs under) *)
-  let cmpbr r c w a b t1 t2 : cstate -> int =
-    match (a, b, t1, t2) with
-    | L.Lreg ra, L.Lreg rb, L.Bidx i1, L.Bidx i2 ->
-        fun st ->
-          st.cost := !(st.cost) + Cost.cmp;
-          let fr = st.fr in
-          let vb = Machine.reg_int fr rb in
-          let va = Machine.reg_int fr ra in
-          let v = Machine.exec_icmp c w va vb in
-          Machine.set_int fr r v;
-          st.cost := !(st.cost) + Cost.cond_branch;
-          if Int64.equal v 0L then i2 else i1
-    | L.Lreg ra, L.Lconst (L.I kb), L.Bidx i1, L.Bidx i2 ->
-        fun st ->
-          st.cost := !(st.cost) + Cost.cmp;
-          let fr = st.fr in
-          let va = Machine.reg_int fr ra in
-          let v = Machine.exec_icmp c w va kb in
-          Machine.set_int fr r v;
-          st.cost := !(st.cost) + Cost.cond_branch;
-          if Int64.equal v 0L then i2 else i1
-    | _ ->
-        let eb = op_int b and ea = op_int a in
-        fun st ->
-          st.cost := !(st.cost) + Cost.cmp;
-          let vb = eb st in
-          let va = ea st in
-          let v = Machine.exec_icmp c w va vb in
-          Machine.set_int st.fr r v;
-          st.cost := !(st.cost) + Cost.cond_branch;
-          resolve (if Int64.equal v 0L then t2 else t1)
-
-  (* A terminator closure returns the next block index, or -1 for return
-     (value parked in [cret]).  An [int] return stays immediate — the one
-     closure-to-closure value the hot path is allowed to pass. *)
-  let cterm (term : L.lterm) : cstate -> int =
-    match term with
-    | L.Lbr (L.Bidx i) ->
-        fun st ->
-          st.cost := !(st.cost) + Cost.branch;
-          i
-    | L.Lbr (L.Braise e) ->
-        fun st ->
-          st.cost := !(st.cost) + Cost.branch;
-          raise e
-    | L.Lcbr (L.Lreg r, L.Bidx i1, L.Bidx i2)
-    | L.Lcheck (L.Lreg r, L.Bidx i1, L.Bidx i2, _, _) ->
-        fun st ->
-          st.cost := !(st.cost) + Cost.cond_branch;
-          if Int64.equal (Machine.reg_int st.fr r) 0L then i2 else i1
-    | L.Lcbr (c, t1, t2) | L.Lcheck (c, t1, t2, _, _) ->
-        let ec = op_int c in
-        fun st ->
-          st.cost := !(st.cost) + Cost.cond_branch;
-          resolve (if Int64.equal (ec st) 0L then t2 else t1)
-    | L.Lcmpbr (r, c, w, a, b, t1, t2) -> cmpbr r c w a b t1 t2
-    | L.Lcmpcheck (r, c, w, a, b, t1, t2, _, _) -> cmpbr r c w a b t1 t2
-    | L.Lret None ->
-        fun st ->
-          st.cost := !(st.cost) + Cost.ret;
-          st.cret <- None;
-          -1
-    | L.Lret (Some o) ->
-        let eo = op_val o in
-        fun st ->
-          st.cost := !(st.cost) + Cost.ret;
-          st.cret <- Some (eo st);
-          -1
-    | L.Lunreachable msg -> fun _ -> raise (Machine.Vm_error msg)
-
-  (* ---- superinstruction fusion and block assembly ------------------ *)
-
-  (* Fuse a straight-line run of steps into a right-leaning chain, up to
-     three steps per node: each node is one closure invocation for three
-     instructions, and the tail call into the next node keeps the chain
-     allocation-free at run time. *)
-  let rec fuse (steps : step array) i (term : cstate -> int) : cstate -> int =
-    let n = Array.length steps in
-    if i >= n then term
-    else if n - i >= 3 then begin
-      let a = steps.(i) and b = steps.(i + 1) and c = steps.(i + 2) in
-      let rest = fuse steps (i + 3) term in
-      fun st ->
-        a st;
-        b st;
-        c st;
-        rest st
-    end
-    else if n - i = 2 then begin
-      let a = steps.(i) and b = steps.(i + 1) in
-      fun st ->
-        a st;
-        b st;
-        term st
-    end
-    else begin
-      let a = steps.(i) in
-      fun st ->
-        a st;
-        term st
-    end
-
-  (* One closure per basic block.  The prologue replicates
-     [Vm.check_budget] exactly — budget test, then the captured step-poll
-     hook — so timeouts and cooperative cancellation fire at the same
-     block boundaries as the lowered engine (cancellation leaves compiled
-     code by unwinding: the raise has no state to save). *)
-  let cblock (b : L.lblock) : cstate -> int =
+  (* One closure per basic block.  The prologue is the reference
+     engine's block prologue exactly — budget test, the captured
+     step-poll hook, then the block sample under a trace sink — so
+     timeouts and cooperative cancellation fire at the same block
+     boundaries (cancellation leaves compiled code by unwinding: the
+     raise has no state to save). *)
+  and cblock fname idx (b : L.lblock) : cstate -> int =
     let body = fuse (Array.map cinst b.L.linsts) 0 (cterm b.L.lterm) in
     fun st ->
       if !(st.cost) > st.budget then raise Machine.Timeout_exceeded;
       (match st.poll with None -> () | Some f -> f ());
+      (match st.trace with
+      | None -> ()
+      | Some s -> Trace.sample_block s ~cost:!(st.cost) ~fname ~blk:idx);
       body st
 
-  type cfunc = (cstate -> int) array
-
-  (* The compiled code hangs off the shared [lfunc] through [Lower]'s
-     extensible attachment slot, so the lowering stays compiler-agnostic
-     and recompilation after [Make] is re-applied (it never is in
-     production: [Vm] applies it once) would just shadow the constructor. *)
-  type L.tier3 += Compiled of cfunc
-
-  let code_for (lf : L.lfunc) : cfunc =
-    match lf.L.ltier3 with
+  and code_for (lf : L.lfunc) : cfunc =
+    match lf.L.lcode with
     | Compiled cf -> cf
     | _ ->
-        let cf = Array.map cblock lf.L.lblocks in
-        lf.L.ltier3 <- Compiled cf;
-        Atomic.incr promotions;
+        let cf = Array.mapi (cblock lf.L.lname) lf.L.lblocks in
+        lf.L.lcode <- Compiled cf;
+        Atomic.incr compiled;
         cf
 
-  (* Drive loop: run block closures until the function returns, with a
-     single array load and compare between blocks. *)
-  let enter (rt : R.t) (lf : L.lfunc) (fr : Machine.lframe) (idx0 : int) :
-      L.value option =
+  (** Call a defined function: bind the arguments into a fresh frame,
+      compile the function if this is its first call, and run block
+      closures until it returns — a single array load and compare
+      between blocks. *)
+  and call (rt : R.t) (lf : L.lfunc) (args : L.value array) : L.value option =
+    R.enter_call rt;
+    let nparams = Array.length lf.L.lparams in
+    if Array.length args < nparams then
+      raise
+        (Machine.Vm_error
+           (Printf.sprintf "%s: missing argument %d" lf.L.lname
+              (Array.length args)));
+    let entry_sp = R.sp rt in
+    let fr = Machine.make_lframe lf.L.lnregs entry_sp in
+    for i = 0 to nparams - 1 do
+      Machine.set_value fr lf.L.lparams.(i) args.(i)
+    done;
+    if Array.length lf.L.lblocks = 0 then
+      invalid_arg (Printf.sprintf "Func.entry: %s has no blocks" lf.L.lname);
     let blocks = code_for lf in
+    let cost = R.cost rt and trace = R.trace rt in
+    (match trace with
+    | Some s -> Trace.emit_call_enter s ~cost:!cost ~fname:lf.L.lname
+    | None -> ());
     let st =
       {
         rt;
-        cost = R.cost rt;
+        cost;
         budget = R.budget rt;
         poll = Machine.poll_hook ();
+        trace;
         mem = R.mem rt;
         alloc = R.alloc rt;
         fr;
@@ -887,5 +967,17 @@ module Make (R : RUNTIME) = struct
       let n = (Array.unsafe_get blocks idx) st in
       if n < 0 then st.cret else go n
     in
-    go idx0
+    let result = go 0 in
+    (match trace with
+    | Some s -> Trace.emit_call_exit s ~cost:!cost ~fname:lf.L.lname
+    | None -> ());
+    R.set_sp rt entry_sp;
+    R.leave_call rt;
+    result
+
+  (* indirect-call completion: defined function, extern, or unknown *)
+  and call_named rt name argv =
+    match R.lfunc rt name with
+    | Some lf -> call rt lf argv
+    | None -> R.call_extern rt name argv
 end

@@ -6,8 +6,8 @@
     {!Prog.operand_ty}, callees through two hashtable probes, and constant
     operands re-truncated at each evaluation.  All of that is a function
     of the program text, so this pass computes it once per static
-    instruction and emits a form the VM dispatch loop can execute with
-    array indexing only:
+    instruction and emits a form {!Compile} turns into closures indexed
+    by array position only:
 
     - blocks become an array indexed by block id; branches carry ids;
     - [Malloc]/[Alloca]/[Gep_*] carry element sizes, alignments and field
@@ -70,23 +70,20 @@ type lkind =
     have raised had the branch executed. *)
 type starget = Bidx of int | Braise of exn
 
-(** Compiled-tier attachment point.  Extensible so this module stays
+(** Compiled-code attachment point.  Extensible so this module stays
     ignorant of the compiler: {!Compile} adds its own constructor
     carrying the closure-compiled code, and everyone else only ever
-    sees {!Tier3_none}. *)
-type tier3 = ..
+    sees {!Not_compiled}. *)
+type code = ..
 
-type tier3 += Tier3_none
+type code += Not_compiled
 
 type lfunc = {
   lname : string;
   lparams : int array;  (** parameter register indices *)
   lnregs : int;
   mutable lblocks : lblock array;  (** entry block at index 0 *)
-  mutable lhot : int;
-      (** lowered blocks executed in this function (promotion counter);
-          heuristic state only — never part of program identity *)
-  mutable ltier3 : tier3;  (** compiled code, once promoted *)
+  mutable lcode : code;  (** compiled code, from the first call on *)
 }
 
 and lblock = {
@@ -102,8 +99,8 @@ and lterm =
           first instruction calls [__dpmr_detect]) — i.e. an inline replica
           load-check compiled by the diversity transform.  The booleans say
           which targets are detection blocks.  Executes exactly like
-          [Lcbr]; the lowered engine additionally reports a passed
-          comparison to an installed trace sink when the branch takes a
+          [Lcbr]; compiled code additionally reports a passed comparison
+          to an installed trace sink when the branch takes a
           non-detection target. *)
   | Lcmpbr of int * Inst.icond * width * lop * lop * starget * starget
       (** fused [Licmp] + [Lcbr] on the compare's destination register:
@@ -262,8 +259,7 @@ let shell (f : Func.t) =
     lparams = Array.of_list (List.map fst f.Func.params);
     lnregs = f.Func.next_reg;
     lblocks = [||];
-    lhot = 0;
-    ltier3 = Tier3_none;
+    lcode = Not_compiled;
   }
 
 (* Peephole superinstruction fusion.  Merges each [Lgep_index]/[Lgep_field]

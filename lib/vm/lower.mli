@@ -4,8 +4,8 @@
     branch targets become block ids, {!Layout} sizes/alignments/offsets
     and cast source widths are baked into the opcodes, constants are
     pre-truncated and pre-boxed, and direct calls bind their lowered
-    callee (or a per-VM extern slot) and base cost once.  The {!Vm}
-    dispatch loop then executes with array indexing only.
+    callee (or a per-VM extern slot) and base cost once.  {!Compile}
+    turns this form into closures at each function's first call.
 
     Static resolution errors (unknown label, bad field index, undefined
     aggregate) are captured as {!Lpoison}/{!Braise} and re-raised —
@@ -41,22 +41,19 @@ type lkind =
     have raised had the branch executed. *)
 type starget = Bidx of int | Braise of exn
 
-(** Compiled-tier attachment point, extensible so this module stays
+(** Compiled-code attachment point, extensible so this module stays
     ignorant of the compiler: {!Compile} adds a constructor carrying the
-    closure-compiled code; everyone else only sees {!Tier3_none}. *)
-type tier3 = ..
+    closure-compiled code; everyone else only sees {!Not_compiled}. *)
+type code = ..
 
-type tier3 += Tier3_none
+type code += Not_compiled
 
 type lfunc = {
   lname : string;
   lparams : int array;  (** parameter register indices *)
   lnregs : int;
   mutable lblocks : lblock array;  (** entry block at index 0 *)
-  mutable lhot : int;
-      (** lowered blocks executed in this function (the tier-promotion
-          counter); heuristic state, never part of program identity *)
-  mutable ltier3 : tier3;  (** compiled code, once promoted *)
+  mutable lcode : code;  (** compiled code, from the first call on *)
 }
 
 and lblock = {
@@ -129,7 +126,7 @@ type prog = {
 }
 
 (** Lower a whole program.  Cheap enough to run once per program build;
-    the result is immutable (apart from the per-function tier state,
+    the result is immutable (apart from the per-function compiled code,
     which never affects behaviour) and may be shared by any number of
     VMs executing the same (unmodified) program. *)
 val lower_prog : Prog.t -> prog

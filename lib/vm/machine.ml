@@ -1,13 +1,12 @@
-(** Execution substrate shared by the VM's interpreter tiers.
+(** Execution substrate shared by the VM's two engines.
 
-    {!Vm} historically owned the run-classification exceptions, the
-    cooperative step-poll hook and the lowered engine's register file.
-    The closure-compiled top tier ({!Compile}) executes the same frames
-    and raises the same exceptions, but must sit {e below} {!Vm} in the
-    module graph — [Vm] instantiates the compiler's runtime functor after
-    its recursive execution knot.  Everything both tiers touch therefore
-    lives here; [Vm] re-exports the exceptions and the frame type so its
-    public interface is unchanged. *)
+    The production engine ({!Compile}) raises the same run-classification
+    exceptions as the reference tree-walker in {!Vm}, polls the same
+    cooperative step hook and uses the same scalar semantics, but must
+    sit {e below} {!Vm} in the module graph — [Vm] instantiates the
+    compiler's runtime functor.  Everything both engines touch therefore
+    lives here, with compiled code's register file; [Vm] re-exports the
+    exceptions so its public interface is unchanged. *)
 
 open Dpmr_ir
 open Types
@@ -33,7 +32,7 @@ let poll_key : (unit -> unit) option Domain.DLS.key =
 let set_poll_hook f = Domain.DLS.set poll_key f
 let poll_hook () = Domain.DLS.get poll_key
 
-(* Lowered-engine register file: a flat byte buffer, 8 bytes per
+(* Compiled code's register file: a flat byte buffer, 8 bytes per
    register, plus one tag byte per register ('\000' int, '\001' float).
    Keeping scalars out of [value] boxes is the difference between ~5
    words of allocation per executed ALU instruction and none: results
@@ -79,9 +78,8 @@ let[@inline] set_value fr r = function
   | Lower.I x -> set_int fr r x
   | Lower.F x -> set_float fr r x
 
-(* Scalar operation semantics, shared verbatim by the reference engine,
-   the lowered engine and the compiled tier (division by zero, shift
-   masking, signedness handling must agree bit-for-bit). *)
+(* Scalar operation semantics, shared verbatim by both engines (division
+   by zero, shift masking, signedness handling must agree bit-for-bit). *)
 
 let[@inline] exec_binop op w a b =
   let sa = Lower.sign_extend w a and sb = Lower.sign_extend w b in

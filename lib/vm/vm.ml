@@ -4,14 +4,14 @@
 
     Two engines share all VM state and must agree bit-for-bit:
 
-    - the {b lowered} engine (default, used by {!run}) executes the
-      pre-resolved threaded form produced by {!Lower} — block ids instead
-      of label lookups, baked layouts and cast widths, pre-bound callees;
+    - the production engine (used by {!run}) lowers the program once
+      ({!Lower}) and closure-compiles each function at its first call
+      ({!Compile});
     - the {b reference} engine ({!run_reference}) is the original
       tree-walking interpreter over {!Func.t}, kept as the executable
       specification the differential tests compare against.
 
-    The [use_lowered] flag routes {!call_function}, so externs that
+    The [on_reference] flag routes {!call_function}, so externs that
     re-enter the interpreter (e.g. the qsort comparator callback) stay on
     whichever engine started the run. *)
 
@@ -25,10 +25,10 @@ module Trace = Dpmr_trace.Trace
 type value = Lower.value = I of int64 | F of float
 
 (* The classification exceptions, the step-poll hook and the scalar-op
-   semantics live in {!Machine}, shared with the closure-compiled tier
-   ({!Compile}, instantiated at the bottom of this file).  Rebinding
-   keeps the constructors physically identical, so a [Machine.Vm_error]
-   raised from compiled code is caught by [classify_run] below. *)
+   semantics live in {!Machine}, shared with the compiled engine
+   ({!Compile}, instantiated below).  Rebinding keeps the constructors
+   physically identical, so a [Machine.Vm_error] raised from compiled
+   code is caught by [classify_run] below. *)
 exception Exit_program = Machine.Exit_program
 exception Dpmr_detected = Machine.Dpmr_detected
 exception Timeout_exceeded = Machine.Timeout_exceeded
@@ -39,46 +39,18 @@ let poll_key = Machine.poll_key
 let set_poll_hook = Machine.set_poll_hook
 
 (* ------------------------------------------------------------------ *)
-(* Execution tiers                                                     *)
+(* Engine selection                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** Which engine executes a run.  [Tier_auto] (default) starts every
-    function on the lowered interpreter and promotes it to the compiled
-    closure tier once hot; the other modes pin one engine, for
-    differential testing and paired benchmarking.  Process-global: set
-    it before spawning worker domains. *)
-type tier_mode = Tier_auto | Tier_ref | Tier_lowered | Tier_compiled
+(** Which engine {!run} uses.  [Tier_compiled] (the default) is the
+    production engine; [Tier_ref] pins the reference tree-walker, for
+    differential testing.  Process-global: set it before spawning worker
+    domains. *)
+type tier_mode = Tier_compiled | Tier_ref
 
-let tier_mode_ref = ref Tier_auto
-
-(* promotion threshold in executed lowered blocks per function;
-   [max_int] disables promotion, [0] promotes on first entry *)
-let tier_threshold = ref Cost.tier_promote_blocks
-
-let set_tier_mode m =
-  tier_mode_ref := m;
-  tier_threshold :=
-    (match m with
-    | Tier_auto -> Cost.tier_promote_blocks
-    | Tier_compiled -> 0
-    | Tier_ref | Tier_lowered -> max_int)
-
+let tier_mode_ref = ref Tier_compiled
+let set_tier_mode m = tier_mode_ref := m
 let tier_mode () = !tier_mode_ref
-
-let tier_mode_of_string = function
-  | "auto" -> Some Tier_auto
-  | "ref" -> Some Tier_ref
-  | "lowered" -> Some Tier_lowered
-  | "compiled" -> Some Tier_compiled
-  | _ -> None
-
-let () =
-  match Sys.getenv_opt "DPMR_TIER" with
-  | None | Some "" -> ()
-  | Some s -> (
-      match tier_mode_of_string s with
-      | Some m -> set_tier_mode m
-      | None -> invalid_arg (Printf.sprintf "DPMR_TIER: unknown tier %S" s))
 
 type t = {
   prog : Prog.t;
@@ -92,8 +64,8 @@ type t = {
   mutable next_fun_addr : int64;
   out : Buffer.t;
   cost : int ref;
-      (** a [ref] rather than a mutable field so the compiled tier can
-          capture it once per entry and charge without touching [t] *)
+      (** a [ref] rather than a mutable field so compiled code can
+          capture it once per call and charge without touching [t] *)
   mutable budget : int;  (** raise {!Timeout_exceeded} when cost exceeds *)
   rng : Rng.t;
   externs : (string, extern) Hashtbl.t;
@@ -101,7 +73,7 @@ type t = {
       (** per-VM resolution of the {!Lower.Lextern} call slots *)
   mutable fi_first_cost : int option;
   mutable call_depth : int;
-  mutable use_lowered : bool;  (** engine selector for {!call_function} *)
+  mutable on_reference : bool;  (** engine selector for {!call_function} *)
   trace : Trace.t option;
       (** the domain's trace sink, captured once at {!create} — a [t]
           field rather than a per-event DLS read so the disabled case
@@ -230,7 +202,7 @@ let create ?(seed = 42L) ?(budget = 2_000_000_000L) ?lowered prog =
       extern_slots = Array.make lprog.L.n_slots None;
       fi_first_cost = None;
       call_depth = 0;
-      use_lowered = true;
+      on_reference = false;
       trace = Trace.current ();
     }
   in
@@ -255,66 +227,15 @@ let register_extern t name fn =
 
 type frame = { regs : value array; entry_sp : int64 }
 
-let[@inline] exec_binop op w a b =
-  let sa = sign_extend w a and sb = sign_extend w b in
-  let r =
-    match op with
-    | Add -> Int64.add a b
-    | Sub -> Int64.sub a b
-    | Mul -> Int64.mul a b
-    | Sdiv ->
-        if Int64.equal sb 0L then raise (Vm_error "division by zero")
-        else Int64.div sa sb
-    | Srem ->
-        if Int64.equal sb 0L then raise (Vm_error "division by zero")
-        else Int64.rem sa sb
-    | Udiv ->
-        if Int64.equal b 0L then raise (Vm_error "division by zero")
-        else Int64.unsigned_div a b
-    | Urem ->
-        if Int64.equal b 0L then raise (Vm_error "division by zero")
-        else Int64.unsigned_rem a b
-    | And -> Int64.logand a b
-    | Or -> Int64.logor a b
-    | Xor -> Int64.logxor a b
-    | Shl -> Int64.shift_left a (Int64.to_int (Int64.logand b 63L))
-    | Lshr -> Int64.shift_right_logical a (Int64.to_int (Int64.logand b 63L))
-    | Ashr -> Int64.shift_right sa (Int64.to_int (Int64.logand b 63L))
-  in
-  truncate_to w r
-
-let[@inline] exec_icmp c w a b =
-  let sa = sign_extend w a and sb = sign_extend w b in
-  let r =
-    match c with
-    | Ieq -> Int64.equal a b
-    | Ine -> not (Int64.equal a b)
-    | Islt -> Int64.compare sa sb < 0
-    | Isle -> Int64.compare sa sb <= 0
-    | Isgt -> Int64.compare sa sb > 0
-    | Isge -> Int64.compare sa sb >= 0
-    | Iult -> Int64.unsigned_compare a b < 0
-    | Iule -> Int64.unsigned_compare a b <= 0
-    | Iugt -> Int64.unsigned_compare a b > 0
-    | Iuge -> Int64.unsigned_compare a b >= 0
-  in
-  if r then 1L else 0L
-
-let[@inline] exec_fcmp c a b =
-  let r =
-    match c with
-    | Foeq -> a = b
-    | Fone -> a <> b
-    | Folt -> a < b
-    | Fole -> a <= b
-    | Fogt -> a > b
-    | Foge -> a >= b
-  in
-  if r then 1L else 0L
-
 let max_call_depth = 10_000
 
-(* Reference-engine scalar moves (the lowered engine bakes the kind). *)
+let enter_call t =
+  if t.call_depth >= max_call_depth then raise (Vm_error "stack overflow");
+  t.call_depth <- t.call_depth + 1
+
+let leave_call t = t.call_depth <- t.call_depth - 1
+
+(* Reference-engine scalar moves (lowering bakes the kind instead). *)
 
 let load_scalar t ty addr =
   match ty with
@@ -332,125 +253,69 @@ let store_scalar t ty addr v =
   | Int _, F _ | Ptr _, F _ -> raise (Vm_error "store: float value into int slot")
   | _ -> raise (Vm_error "store of non-scalar")
 
-(* Lowered-engine register file: a flat byte buffer, 8 bytes per
-   register, plus one tag byte per register ('\000' int, '\001' float).
-   Keeping scalars out of [value] boxes is the difference between ~5
-   words of allocation per executed ALU instruction and none: results
-   flow between [Bytes] 64-bit primitives unboxed, and [I]/[F] boxes are
-   built only at call, return and extern boundaries.  Register indices
-   come from {!Lower} and are always < [lnregs], so the unchecked
-   accessors are in range. *)
-
-external reg_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external reg_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-(* the frame type is {!Machine}'s, so the compiled tier executes the
-   very same record the lowered engine allocated — promotion shares the
-   register file with no state copy at all *)
-type lframe = Machine.lframe = {
-  bits : Bytes.t;
-  tags : Bytes.t;
-  lentry_sp : int64;
-}
-
-(* same poison as the boxed register file had: an uninitialized register
-   reads back as the int 0xDEADBEEF *)
-let make_lframe nregs sp =
-  let bits = Bytes.create (nregs lsl 3) in
-  let tags = Bytes.make nregs '\000' in
-  for r = 0 to nregs - 1 do
-    reg_set bits (r lsl 3) 0xDEADBEEFL
-  done;
-  { bits; tags; lentry_sp = sp }
-
-(* Entry point of the compiled tier, tied after the recursive execution
-   knot below ({!Compile} needs the knot's call helpers, the knot needs
-   this to promote).  Never read before the initializer at the bottom of
-   this file runs. *)
-let tier_enter : (t -> L.lfunc -> lframe -> int -> value option) ref =
-  ref (fun _ _ _ _ -> assert false)
-
-let[@inline] reg_int fr r =
-  if Bytes.unsafe_get fr.tags r <> '\000' then
-    raise (Vm_error "expected int/pointer value");
-  reg_get fr.bits (r lsl 3)
-
-let[@inline] reg_float fr r =
-  if Bytes.unsafe_get fr.tags r = '\000' then
-    raise (Vm_error "expected float value");
-  Int64.float_of_bits (reg_get fr.bits (r lsl 3))
-
-let[@inline] set_int fr r x =
-  Bytes.unsafe_set fr.tags r '\000';
-  reg_set fr.bits (r lsl 3) x
-
-let[@inline] set_float fr r x =
-  Bytes.unsafe_set fr.tags r '\001';
-  reg_set fr.bits (r lsl 3) (Int64.bits_of_float x)
-
-let[@inline] set_value fr r = function
-  | I x -> set_int fr r x
-  | F x -> set_float fr r x
-
-(* Operand evaluation.  [leval_int o] ≡ [as_int (leval o)] and
-   [leval_float o] ≡ [as_float (leval o)] of the boxed form: same
-   raises, same order — notably [Lfun_name] assigns the function its
-   address {e before} a type-mismatch error surfaces. *)
-
-let[@inline] leval t fr (o : L.lop) =
-  match o with
-  | L.Lreg r ->
-      if Bytes.unsafe_get fr.tags r = '\000' then I (reg_get fr.bits (r lsl 3))
-      else F (Int64.float_of_bits (reg_get fr.bits (r lsl 3)))
-  | L.Lconst v -> v
-  | L.Lglobal g -> I (global_address t g)
-  | L.Lfun_name f -> I (fun_address t f)
-
-(* the [Int64.add _ 0L] identities keep every arm a syntactic arithmetic
-   expression, so the match join stays unboxed in callers (a bare
-   variable or call-result arm would force one box per evaluation) *)
-let[@inline] leval_int t fr (o : L.lop) =
-  match o with
-  | L.Lreg r -> reg_int fr r
-  | L.Lconst (I x) -> Int64.add x 0L
-  | L.Lconst (F _) -> raise (Vm_error "expected int/pointer value")
-  | L.Lglobal g -> Int64.add (global_address t g) 0L
-  | L.Lfun_name f -> Int64.add (fun_address t f) 0L
-
-let[@inline] leval_float t fr (o : L.lop) =
-  match o with
-  | L.Lreg r -> reg_float fr r
-  | L.Lconst (F x) -> Int64.float_of_bits (Int64.bits_of_float x)
-  | L.Lconst (I _) -> raise (Vm_error "expected float value")
-  | L.Lglobal g ->
-      ignore (global_address t g);
-      raise (Vm_error "expected float value")
-  | L.Lfun_name f ->
-      ignore (fun_address t f);
-      raise (Vm_error "expected float value")
-
-(* register-to-register moves copy bits and tag without boxing *)
-let copy_op t fr r (o : L.lop) =
-  match o with
-  | L.Lreg s ->
-      Bytes.unsafe_set fr.tags r (Bytes.unsafe_get fr.tags s);
-      reg_set fr.bits (r lsl 3) (reg_get fr.bits (s lsl 3))
-  | o -> set_value fr r (leval t fr o)
-
-let resolve_target = function L.Bidx i -> i | L.Braise e -> raise e
-
 let unknown_function name =
   raise (Vm_error (Printf.sprintf "call to unknown function %S" name))
 
 (* ------------------------------------------------------------------ *)
-(* Execution: both engines in one recursive knot (externs re-enter via  *)
-(* [call_function], which routes on [use_lowered])                      *)
+(* The production engine                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The runtime view {!Compile} programs against.  Externs re-enter
+   through the closures registered in the VM, never through this module,
+   so the engine needs no knot with the reference interpreter below. *)
+module Rt = struct
+  type nonrec t = t
+
+  let cost t = t.cost
+  let budget t = t.budget
+  let mem t = t.mem
+  let alloc t = t.alloc
+  let sp t = t.sp
+  let set_sp t v = t.sp <- v
+  let global_address = global_address
+  let fun_address = fun_address
+  let trace t = t.trace
+  let enter_call = enter_call
+  let leave_call = leave_call
+  let lfunc t name = Hashtbl.find_opt t.lprog.L.funcs name
+
+  let call_extern t name argv =
+    match Hashtbl.find_opt t.externs name with
+    | Some fn -> fn t (Array.to_list argv)
+    | None -> unknown_function name
+
+  (* the [Lextern] slot protocol: slot cache, extern table with cache
+     fill, unknown-function error — in that order *)
+  let call_extern_slot t slot name argv =
+    match t.extern_slots.(slot) with
+    | Some fn -> fn t (Array.to_list argv)
+    | None -> (
+        match Hashtbl.find_opt t.externs name with
+        | Some fn ->
+            t.extern_slots.(slot) <- Some fn;
+            fn t (Array.to_list argv)
+        | None -> unknown_function name)
+
+  let indirect_name t addr =
+    match Hashtbl.find_opt t.addr_fun addr with
+    | Some name -> name
+    | None -> raise (Mem.Fault (Mem.Unmapped addr))
+end
+
+module Compiled = Compile.Make (Rt)
+
+(* the constant second field keeps the telemetry schema's deopt count *)
+let tier_stats () = (Compile.n_compiled (), 0)
+
+(* ------------------------------------------------------------------ *)
+(* Calls by name (externs re-enter here, routed on [on_reference]) and  *)
+(* the reference engine                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let rec call_function t name args =
-  if t.use_lowered then
+  if not t.on_reference then
     match Hashtbl.find_opt t.lprog.L.funcs name with
-    | Some lf -> exec_lfunc t lf (Array.of_list args)
+    | Some lf -> Compiled.call t lf (Array.of_list args)
     | None -> (
         match Hashtbl.find_opt t.externs name with
         | Some fn -> fn t args
@@ -463,364 +328,8 @@ let rec call_function t name args =
         | Some fn -> fn t args
         | None -> unknown_function name)
 
-(* ---- lowered engine ---- *)
-
-and exec_lfunc t (lf : L.lfunc) (args : value array) =
-  if t.call_depth >= max_call_depth then raise (Vm_error "stack overflow");
-  t.call_depth <- t.call_depth + 1;
-  let nparams = Array.length lf.L.lparams in
-  if Array.length args < nparams then
-    raise
-      (Vm_error
-         (Printf.sprintf "%s: missing argument %d" lf.L.lname
-            (Array.length args)));
-  let frame = make_lframe lf.L.lnregs t.sp in
-  for i = 0 to nparams - 1 do
-    set_value frame lf.L.lparams.(i) args.(i)
-  done;
-  if Array.length lf.L.lblocks = 0 then
-    invalid_arg (Printf.sprintf "Func.entry: %s has no blocks" lf.L.lname);
-  (match t.trace with
-  | Some s -> Trace.emit_call_enter s ~cost:(!(t.cost)) ~fname:lf.L.lname
-  | None -> ());
-  let result = exec_lblocks t lf frame in
-  (match t.trace with
-  | Some s -> Trace.emit_call_exit s ~cost:(!(t.cost)) ~fname:lf.L.lname
-  | None -> ());
-  t.sp <- frame.lentry_sp;
-  t.call_depth <- t.call_depth - 1;
-  result
-
-(* Every block boundary is also a tier-promotion point: once the
-   function has executed [!tier_threshold] lowered blocks it enters the
-   compiled tier — at call granularity for short hot functions, and
-   mid-run (on-stack replacement: same frame, same block index) for a
-   long-running loop that never returns.  Promotion is refused only
-   under a trace sink, which needs per-block samples and per-check
-   compare events; an entered compiled tier runs the function to its
-   return, activated fault injection included. *)
-and exec_lblocks t (lf : L.lfunc) frame =
-  let blocks = lf.L.lblocks in
-  let rec go idx =
-    let h = lf.L.lhot + 1 in
-    lf.L.lhot <- h;
-    if h >= !tier_threshold then
-      match t.trace with
-      | None -> !tier_enter t lf frame idx
-      | Some s ->
-          (* the only tier transition observable under a sink: record
-             the refusal once, at the exact threshold crossing *)
-          if h = !tier_threshold then
-            Trace.emit_tier s ~cost:(!(t.cost)) ~fname:lf.L.lname
-              ~transition:Trace.Tier_refused;
-          exec_block idx
-    else exec_block idx
-  and exec_block idx =
-    let (b : L.lblock) = blocks.(idx) in
-    check_budget t;
-    (match t.trace with
-    | Some s -> Trace.sample_block s ~cost:(!(t.cost)) ~fname:lf.L.lname ~blk:idx
-    | None -> ());
-    let insts = b.L.linsts in
-    for i = 0 to Array.length insts - 1 do
-      exec_linst t frame (Array.unsafe_get insts i)
-    done;
-    match b.L.lterm with
-    | L.Lbr tgt ->
-        add_cost t Cost.branch;
-        go (resolve_target tgt)
-    | L.Lcbr (c, t1, t2) ->
-        add_cost t Cost.cond_branch;
-        let v = leval_int t frame c in
-        go (resolve_target (if not (Int64.equal v 0L) then t1 else t2))
-    | L.Lcheck (c, t1, t2, d1, d2) ->
-        (* identical to Lcbr, plus: a branch away from the detection
-           block is a replica comparison that passed *)
-        add_cost t Cost.cond_branch;
-        let v = leval_int t frame c in
-        let tgt, to_det = if not (Int64.equal v 0L) then (t1, d1) else (t2, d2) in
-        (match t.trace with
-        | Some s when not to_det ->
-            Trace.emit_compare s ~cost:(!(t.cost)) ~app:(-1L) ~rep:(-1L) ~len:0
-        | _ -> ());
-        go (resolve_target tgt)
-    | L.Lcmpbr (r, c, w, a, bb, t1, t2) ->
-        (* fused [Licmp]+[Lcbr]: same costs, same register write *)
-        add_cost t Cost.cmp;
-        let vb = leval_int t frame bb in
-        let va = leval_int t frame a in
-        let v = exec_icmp c w va vb in
-        set_int frame r v;
-        add_cost t Cost.cond_branch;
-        go (resolve_target (if not (Int64.equal v 0L) then t1 else t2))
-    | L.Lcmpcheck (r, c, w, a, bb, t1, t2, d1, d2) ->
-        add_cost t Cost.cmp;
-        let vb = leval_int t frame bb in
-        let va = leval_int t frame a in
-        let v = exec_icmp c w va vb in
-        set_int frame r v;
-        add_cost t Cost.cond_branch;
-        let tgt, to_det = if not (Int64.equal v 0L) then (t1, d1) else (t2, d2) in
-        (match t.trace with
-        | Some s when not to_det ->
-            Trace.emit_compare s ~cost:(!(t.cost)) ~app:(-1L) ~rep:(-1L) ~len:0
-        | _ -> ());
-        go (resolve_target tgt)
-    | L.Lret o ->
-        add_cost t Cost.ret;
-        Option.map (leval t frame) o
-    | L.Lunreachable msg -> raise (Vm_error msg)
-  in
-  go 0
-
-and exec_linst t frame (inst : L.linst) =
-  match inst with
-  | L.Lmalloc (r, esz, n) ->
-      let count = Int64.to_int (leval_int t frame n) in
-      if count < 0 then raise (Vm_error "malloc: negative count");
-      let bytes = count * esz in
-      add_cost t (Cost.malloc_cost bytes);
-      set_int frame r (Allocator.malloc t.alloc bytes)
-  | L.Lalloca (r, esz, algn, n) ->
-      let count = Int64.to_int (leval_int t frame n) in
-      let bytes = max 1 (count * esz) in
-      add_cost t (Cost.alloca_cost bytes);
-      let addr = Int64.of_int (Layout.round_up (Int64.to_int t.sp) algn) in
-      Mem.map_range t.mem addr bytes Mem.Fill_garbage;
-      t.sp <- Int64.add addr (Int64.of_int bytes);
-      set_int frame r addr
-  | L.Lfree p ->
-      add_cost t Cost.free_cost;
-      let addr = leval_int t frame p in
-      if not (Int64.equal addr 0L) then Allocator.free t.alloc addr
-  | L.Lload (r, k, p) ->
-      add_cost t (Cost.load + Cost.heap_pressure (Allocator.live_bytes t.alloc));
-      let addr = leval_int t frame p in
-      (match k with
-      | L.Kint n -> set_int frame r (Mem.read_int t.mem addr n)
-      | L.Kfloat ->
-          (* F (read_f64 addr) stored as bits = the raw 8 loaded bytes *)
-          Bytes.unsafe_set frame.tags r '\001';
-          reg_set frame.bits (r lsl 3) (Mem.read_int t.mem addr 8)
-      | L.Kbad -> raise (Vm_error "load of non-scalar"))
-  | L.Lstore (k, v, p) ->
-      add_cost t (Cost.store + Cost.heap_pressure (Allocator.live_bytes t.alloc));
-      let addr = leval_int t frame p in
-      (match t.trace with
-      | Some s ->
-          (* before the write, so a faulting store is still on record *)
-          Trace.emit_store s ~cost:(!(t.cost)) ~addr
-            ~bytes:(match k with L.Kint n -> n | L.Kfloat -> 8 | L.Kbad -> 0)
-      | None -> ());
-      (match k with
-      | L.Kint n -> (
-          match v with
-          | L.Lreg s ->
-              if Bytes.unsafe_get frame.tags s <> '\000' then
-                raise (Vm_error "store: float value into int slot");
-              Mem.write_int t.mem addr n (reg_get frame.bits (s lsl 3))
-          | L.Lconst (I y) -> Mem.write_int t.mem addr n y
-          | L.Lconst (F _) ->
-              raise (Vm_error "store: float value into int slot")
-          | L.Lglobal g -> Mem.write_int t.mem addr n (global_address t g)
-          | L.Lfun_name f -> Mem.write_int t.mem addr n (fun_address t f))
-      | L.Kfloat ->
-          (* a float slot takes any value's bits verbatim: [F f] wrote
-             [bits_of_float f], [I y] wrote [y] reinterpreted — both are
-             exactly the operand's 64 bits *)
-          let bits =
-            match v with
-            | L.Lreg s -> reg_get frame.bits (s lsl 3)
-            | L.Lconst (I y) -> y
-            | L.Lconst (F x) -> Int64.bits_of_float x
-            | L.Lglobal g -> global_address t g
-            | L.Lfun_name f -> fun_address t f
-          in
-          Mem.write_int t.mem addr 8 bits
-      | L.Kbad ->
-          ignore (leval t frame v);
-          raise (Vm_error "store of non-scalar"))
-  | L.Lgep_field (r, off, p) ->
-      add_cost t Cost.gep;
-      let base = leval_int t frame p in
-      set_int frame r (Int64.add base (Int64.of_int off))
-  | L.Lgep_index (r, esz, p, i) ->
-      add_cost t Cost.gep;
-      let base = leval_int t frame p in
-      let idx = leval_int t frame i in
-      set_int frame r (Int64.add base (Int64.mul idx (Int64.of_int esz)))
-  | L.Lmov (r, p) ->
-      add_cost t Cost.cast;
-      copy_op t frame r p
-  | L.Lbinop (r, op, w, a, b) ->
-      add_cost t Cost.alu;
-      (* second operand first: the reference engine's curried application
-         evaluates its arguments right-to-left *)
-      let vb = leval_int t frame b in
-      let va = leval_int t frame a in
-      set_int frame r (exec_binop op w va vb)
-  | L.Lfbinop (r, op, a, b) ->
-      add_cost t Cost.falu;
-      let y = leval_float t frame b in
-      let x = leval_float t frame a in
-      let v =
-        match op with
-        | Fadd -> x +. y
-        | Fsub -> x -. y
-        | Fmul -> x *. y
-        | Fdiv -> x /. y
-      in
-      set_float frame r v
-  | L.Licmp (r, c, w, a, b) ->
-      add_cost t Cost.cmp;
-      let vb = leval_int t frame b in
-      let va = leval_int t frame a in
-      set_int frame r (exec_icmp c w va vb)
-  | L.Lfcmp (r, c, a, b) ->
-      add_cost t Cost.cmp;
-      let vb = leval_float t frame b in
-      let va = leval_float t frame a in
-      set_int frame r (exec_fcmp c va vb)
-  | L.Lint_cast (r, w, signed, src_w, v) ->
-      add_cost t Cost.cast;
-      let x = leval_int t frame v in
-      let x = if signed then sign_extend src_w x else x in
-      set_int frame r (truncate_to w x)
-  | L.Lf_to_i (r, w, v) ->
-      add_cost t Cost.cast;
-      let x = leval_float t frame v in
-      set_int frame r (truncate_to w (Int64.of_float x))
-  | L.Li_to_f (r, src_w, v) ->
-      add_cost t Cost.cast;
-      let x = leval_int t frame v in
-      set_float frame r (Int64.to_float (sign_extend src_w x))
-  | L.Lselect (r, c, a, b) ->
-      add_cost t Cost.select;
-      let cv = leval_int t frame c in
-      copy_op t frame r (if not (Int64.equal cv 0L) then a else b)
-  | L.Lcall (r, callee, args, cost) -> (
-      add_cost t cost;
-      let eval_args () =
-        let n = Array.length args in
-        let argv = Array.make n (I 0L) in
-        for i = 0 to n - 1 do
-          argv.(i) <- leval t frame args.(i)
-        done;
-        argv
-      in
-      (* indirect callees resolve before argument evaluation; unknown
-         names only fault after it — both as in the reference engine *)
-      match callee with
-      | L.Lfun lf -> finish_call t frame r lf.L.lname (exec_lfunc t lf (eval_args ()))
-      | L.Lextern (slot, name) -> (
-          let argv = eval_args () in
-          match t.extern_slots.(slot) with
-          | Some fn -> finish_call t frame r name (fn t (Array.to_list argv))
-          | None -> (
-              match Hashtbl.find_opt t.externs name with
-              | Some fn ->
-                  t.extern_slots.(slot) <- Some fn;
-                  finish_call t frame r name (fn t (Array.to_list argv))
-              | None -> unknown_function name))
-      | L.Lindirect o -> (
-          let addr = leval_int t frame o in
-          match Hashtbl.find_opt t.addr_fun addr with
-          | None -> raise (Mem.Fault (Mem.Unmapped addr))
-          | Some name -> (
-              let argv = eval_args () in
-              match Hashtbl.find_opt t.lprog.L.funcs name with
-              | Some lf -> finish_call t frame r name (exec_lfunc t lf argv)
-              | None -> (
-                  match Hashtbl.find_opt t.externs name with
-                  | Some fn -> finish_call t frame r name (fn t (Array.to_list argv))
-                  | None -> unknown_function name))))
-  | L.Lpoison e -> raise e
-  (* Fused superinstructions: replay the exact effect sequence of their
-     two-instruction originals (gep cost, address-register write, access
-     cost, access), so cost, faults and register contents are identical. *)
-  | L.Lload_idx (r, k, rp, esz, p, i) -> (
-      add_cost t Cost.gep;
-      let base = leval_int t frame p in
-      let idx = leval_int t frame i in
-      let addr = Int64.add base (Int64.mul idx (Int64.of_int esz)) in
-      set_int frame rp addr;
-      add_cost t (Cost.load + Cost.heap_pressure (Allocator.live_bytes t.alloc));
-      match k with
-      | L.Kint n -> set_int frame r (Mem.read_int t.mem addr n)
-      | L.Kfloat ->
-          Bytes.unsafe_set frame.tags r '\001';
-          reg_set frame.bits (r lsl 3) (Mem.read_int t.mem addr 8)
-      | L.Kbad -> raise (Vm_error "load of non-scalar"))
-  | L.Lload_fld (r, k, rp, off, p) -> (
-      add_cost t Cost.gep;
-      let addr = Int64.add (leval_int t frame p) (Int64.of_int off) in
-      set_int frame rp addr;
-      add_cost t (Cost.load + Cost.heap_pressure (Allocator.live_bytes t.alloc));
-      match k with
-      | L.Kint n -> set_int frame r (Mem.read_int t.mem addr n)
-      | L.Kfloat ->
-          Bytes.unsafe_set frame.tags r '\001';
-          reg_set frame.bits (r lsl 3) (Mem.read_int t.mem addr 8)
-      | L.Kbad -> raise (Vm_error "load of non-scalar"))
-  | L.Lstore_idx (k, v, rp, esz, p, i) ->
-      add_cost t Cost.gep;
-      let base = leval_int t frame p in
-      let idx = leval_int t frame i in
-      let addr = Int64.add base (Int64.mul idx (Int64.of_int esz)) in
-      set_int frame rp addr;
-      exec_store_at t frame k v addr
-  | L.Lstore_fld (k, v, rp, off, p) ->
-      add_cost t Cost.gep;
-      let addr = Int64.add (leval_int t frame p) (Int64.of_int off) in
-      set_int frame rp addr;
-      exec_store_at t frame k v addr
-
-(* the store half of [Lstore]/[Lstore_idx]/[Lstore_fld]: cost, trace
-   event, value evaluation and the write, in the original order *)
-and exec_store_at t frame k (v : L.lop) addr =
-  add_cost t (Cost.store + Cost.heap_pressure (Allocator.live_bytes t.alloc));
-  (match t.trace with
-  | Some s ->
-      Trace.emit_store s ~cost:(!(t.cost)) ~addr
-        ~bytes:(match k with L.Kint n -> n | L.Kfloat -> 8 | L.Kbad -> 0)
-  | None -> ());
-  match k with
-  | L.Kint n -> (
-      match v with
-      | L.Lreg s ->
-          if Bytes.unsafe_get frame.tags s <> '\000' then
-            raise (Vm_error "store: float value into int slot");
-          Mem.write_int t.mem addr n (reg_get frame.bits (s lsl 3))
-      | L.Lconst (I y) -> Mem.write_int t.mem addr n y
-      | L.Lconst (F _) -> raise (Vm_error "store: float value into int slot")
-      | L.Lglobal g -> Mem.write_int t.mem addr n (global_address t g)
-      | L.Lfun_name f -> Mem.write_int t.mem addr n (fun_address t f))
-  | L.Kfloat ->
-      let bits =
-        match v with
-        | L.Lreg s -> reg_get frame.bits (s lsl 3)
-        | L.Lconst (I y) -> y
-        | L.Lconst (F x) -> Int64.bits_of_float x
-        | L.Lglobal g -> global_address t g
-        | L.Lfun_name f -> fun_address t f
-      in
-      Mem.write_int t.mem addr 8 bits
-  | L.Kbad ->
-      ignore (leval t frame v);
-      raise (Vm_error "store of non-scalar")
-
-and finish_call _t frame r name result =
-  match (r, result) with
-  | Some r, Some v -> set_value frame r v
-  | Some _, None ->
-      raise (Vm_error (Printf.sprintf "%s returned void, result expected" name))
-  | None, _ -> ()
-
-(* ---- reference engine: the original tree-walking interpreter ---- *)
-
 and exec_func t (f : Func.t) args =
-  if t.call_depth >= max_call_depth then raise (Vm_error "stack overflow");
-  t.call_depth <- t.call_depth + 1;
+  enter_call t;
   let frame = { regs = Array.make f.next_reg (I 0xDEADBEEFL); entry_sp = t.sp } in
   (* bind arguments by walking params and args together (indexing the
      argument list per param was quadratic in arity); a short argument
@@ -843,7 +352,7 @@ and exec_func t (f : Func.t) args =
   | Some s -> Trace.emit_call_exit s ~cost:(!(t.cost)) ~fname:f.name
   | None -> ());
   t.sp <- frame.entry_sp;
-  t.call_depth <- t.call_depth - 1;
+  leave_call t;
   result
 
 and exec_blocks t f frame =
@@ -934,7 +443,7 @@ and exec_inst t f frame inst =
       set r (ev v)
   | Binop (r, op, w, a, b) ->
       add_cost t Cost.alu;
-      set r (I (exec_binop op w (as_int (ev a)) (as_int (ev b))))
+      set r (I (Machine.exec_binop op w (as_int (ev a)) (as_int (ev b))))
   | Fbinop (r, op, a, b) ->
       add_cost t Cost.falu;
       let x = as_float (ev a) and y = as_float (ev b) in
@@ -948,10 +457,10 @@ and exec_inst t f frame inst =
       set r (F v)
   | Icmp (r, c, w, a, b) ->
       add_cost t Cost.cmp;
-      set r (I (exec_icmp c w (as_int (ev a)) (as_int (ev b))))
+      set r (I (Machine.exec_icmp c w (as_int (ev a)) (as_int (ev b))))
   | Fcmp (r, c, a, b) ->
       add_cost t Cost.cmp;
-      set r (I (exec_fcmp c (as_float (ev a)) (as_float (ev b))))
+      set r (I (Machine.exec_fcmp c (as_float (ev a)) (as_float (ev b))))
   | Int_cast (r, w, signed, v) ->
       add_cost t Cost.cast;
       let x = as_int (ev v) in
@@ -999,61 +508,6 @@ and exec_inst t f frame inst =
       | None, _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Compiled-tier instantiation                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* The runtime view {!Compile} programs against.  Sits below the
-   recursive knot because compiled calls re-enter it ([exec_lfunc]), and
-   above [tier_enter] because the knot promotes through that ref — the
-   assignment right after [Tier] ties the cycle. *)
-module Tier_rt = struct
-  type nonrec t = t
-
-  let cost t = t.cost
-  let budget t = t.budget
-  let mem t = t.mem
-  let alloc t = t.alloc
-  let sp t = t.sp
-  let set_sp t v = t.sp <- v
-  let global_address = global_address
-  let fun_address = fun_address
-
-  let call_lfun t lf args = exec_lfunc t lf args
-
-  (* the [Lextern] slot protocol of [exec_linst]: slot cache, extern
-     table with cache fill, unknown-function error — in that order *)
-  let call_extern_slot t slot name argv =
-    match t.extern_slots.(slot) with
-    | Some fn -> fn t (Array.to_list argv)
-    | None -> (
-        match Hashtbl.find_opt t.externs name with
-        | Some fn ->
-            t.extern_slots.(slot) <- Some fn;
-            fn t (Array.to_list argv)
-        | None -> unknown_function name)
-
-  let indirect_name t addr =
-    match Hashtbl.find_opt t.addr_fun addr with
-    | Some name -> name
-    | None -> raise (Mem.Fault (Mem.Unmapped addr))
-
-  let call_named t name argv =
-    match Hashtbl.find_opt t.lprog.L.funcs name with
-    | Some lf -> exec_lfunc t lf argv
-    | None -> (
-        match Hashtbl.find_opt t.externs name with
-        | Some fn -> fn t (Array.to_list argv)
-        | None -> unknown_function name)
-end
-
-module Tier = Compile.Make (Tier_rt)
-
-let () = tier_enter := Tier.enter
-
-(* the constant second field keeps the telemetry schema's deopt count *)
-let tier_stats () = (Compile.n_promotions (), 0)
-
-(* ------------------------------------------------------------------ *)
 (* Top-level driver                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1096,15 +550,19 @@ let classify_exit r =
   let code = match r with Some (I v) -> Int64.to_int v | _ -> 0 in
   if code = 0 then Outcome.Normal else Outcome.App_exit code
 
-(** [run]'s entry protocol on the lowered (and, when hot, compiled)
-    engine. *)
-let run_lowered ?(entry = "main") ?(args = [ "prog" ]) t =
-  t.use_lowered <- true;
+(* a program without its entry point is a crash of the run, like an
+   entry point of the wrong arity, not a host error *)
+let undefined_entry entry =
+  raise (Vm_error (Printf.sprintf "undefined entry point %S" entry))
+
+(** [run]'s entry protocol on the production engine. *)
+let run_compiled ?(entry = "main") ?(args = [ "prog" ]) t =
+  t.on_reference <- false;
   classify_run t (fun () ->
       let lf =
         match Hashtbl.find_opt t.lprog.L.funcs entry with
         | Some lf -> lf
-        | None -> invalid_arg (Printf.sprintf "Prog.func: undefined %S" entry)
+        | None -> undefined_entry entry
       in
       let argv_vals =
         match Array.length lf.L.lparams with
@@ -1114,13 +572,17 @@ let run_lowered ?(entry = "main") ?(args = [ "prog" ]) t =
             [| argc; argv |]
         | _ -> raise (Vm_error (entry ^ ": entry point must take () or (argc, argv)"))
       in
-      classify_exit (exec_lfunc t lf argv_vals))
+      classify_exit (Compiled.call t lf argv_vals))
 
 (** Same entry protocol on the reference tree-walking engine. *)
 let run_reference ?(entry = "main") ?(args = [ "prog" ]) t =
-  t.use_lowered <- false;
+  t.on_reference <- true;
   classify_run t (fun () ->
-      let f = Prog.func t.prog entry in
+      let f =
+        match Hashtbl.find_opt t.prog.funcs entry with
+        | Some f -> f
+        | None -> undefined_entry entry
+      in
       let argv_vals =
         match f.params with
         | [] -> []
@@ -1132,9 +594,9 @@ let run_reference ?(entry = "main") ?(args = [ "prog" ]) t =
       classify_exit (exec_func t f argv_vals))
 
 (** Run [main] (or a named entry point) to completion and classify,
-    on the engine the tier mode selects: the lowered/compiled pair by
+    on the engine the tier mode selects: the production engine by
     default, the tree-walker under {!Tier_ref}. *)
 let run ?(entry = "main") ?(args = [ "prog" ]) t =
   match !tier_mode_ref with
   | Tier_ref -> run_reference ~entry ~args t
-  | Tier_auto | Tier_lowered | Tier_compiled -> run_lowered ~entry ~args t
+  | Tier_compiled -> run_compiled ~entry ~args t

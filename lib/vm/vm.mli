@@ -2,9 +2,10 @@
     subsystem, charging the {!Cost} model, dispatching external
     functions, and classifying the run per {!Outcome}.
 
-    Two engines share all VM state and agree bit-for-bit: the default
-    {b lowered} engine ({!run}) executes the pre-resolved threaded form
-    produced by {!Lower}, and the {b reference} tree-walking engine
+    Two engines share all VM state and agree bit-for-bit: the
+    production engine ({!run}) lowers the program once
+    ({!Lower}) and closure-compiles each function at its first call
+    ({!Compile}), and the {b reference} tree-walking engine
     ({!run_reference}) is kept as the executable specification the
     differential tests compare against. *)
 
@@ -29,7 +30,7 @@ exception Cancelled of string
 
 type t = {
   prog : Prog.t;
-  lprog : Lower.prog;  (** pre-resolved form executed by {!run} *)
+  lprog : Lower.prog;  (** pre-resolved form {!run} compiles *)
   mem : Mem.t;
   alloc : Allocator.t;
   mutable sp : int64;
@@ -39,8 +40,8 @@ type t = {
   mutable next_fun_addr : int64;
   out : Buffer.t;
   cost : int ref;
-      (** a [ref] rather than a mutable field so the compiled tier can
-          capture it once per entry and charge without touching [t] *)
+      (** a [ref] rather than a mutable field so compiled code can
+          capture it once per call and charge without touching [t] *)
   mutable budget : int;
   rng : Rng.t;
   externs : (string, extern) Hashtbl.t;
@@ -48,7 +49,7 @@ type t = {
       (** per-VM resolution of the {!Lower.Lextern} call slots *)
   mutable fi_first_cost : int option;
   mutable call_depth : int;
-  mutable use_lowered : bool;  (** engine selector for {!call_function} *)
+  mutable on_reference : bool;  (** engine selector for {!call_function} *)
   trace : Dpmr_trace.Trace.t option;
       (** the domain's trace sink ({!Dpmr_trace.Trace.current}), captured
           once at {!create}; [None] — the common case — costs one pointer
@@ -65,7 +66,7 @@ and extern = t -> value list -> value option
 val create : ?seed:int64 -> ?budget:int64 -> ?lowered:Lower.prog -> Prog.t -> t
 
 (** Install (or clear, with [None]) this domain's step-poll hook.  Both
-    dispatch loops call it once per basic block, at the budget check; the
+    engines call it once per basic block, at the budget check; the
     hook cancels the run by raising {!Cancelled}.  Domain-local: a hook
     installed by a worker never affects VMs on other domains. *)
 val set_poll_hook : (unit -> unit) option -> unit
@@ -89,41 +90,28 @@ val call_function : t -> string -> value list -> value option
 
 (** Run the entry point to completion and classify the result.  [main]
     may take [()] or [(argc, argv)]; in the latter case [args] is
-    materialized as C strings in simulated memory.  Executes the lowered
-    threaded form. *)
+    materialized as C strings in simulated memory.  Runs on the
+    production engine unless {!set_tier_mode} pinned the reference. *)
 val run : ?entry:string -> ?args:string list -> t -> Outcome.run
 
 (** Same protocol on the reference tree-walking engine (the original
     interpreter, kept as the executable specification). *)
 val run_reference : ?entry:string -> ?args:string list -> t -> Outcome.run
 
-(** {1 Tiered execution}
-
-    Three tiers, all charging the {!Cost} model identically and agreeing
-    byte-for-byte on every outcome: the reference tree-walker, the
-    lowered threaded interpreter, and a closure-compiled top tier
-    ({!Compile}) that hot functions are promoted into after
-    {!Cost.tier_promote_blocks} executed lowered blocks.  Promotion is
-    refused only while a trace sink is installed (the sink observes
-    every block and check); without one, compiled code runs every
-    function it enters to its return, through fault activation. *)
+(** {1 Engine selection} *)
 
 type tier_mode =
-  | Tier_auto  (** telemetry-driven promotion (the default) *)
+  | Tier_compiled  (** the production engine (the default) *)
   | Tier_ref  (** force the reference tree-walker in {!run} *)
-  | Tier_lowered  (** disable promotion: lowered engine only *)
-  | Tier_compiled  (** promote at first entry (threshold 0) *)
 
-(** Set the process-global tier policy.  Also settable through the
-    [DPMR_TIER] environment variable ([auto]/[ref]/[lowered]/[compiled]),
-    read once at module initialization. *)
+(** Set the process-global engine for {!run}.  Set it before spawning
+    worker domains. *)
 val set_tier_mode : tier_mode -> unit
 
 val tier_mode : unit -> tier_mode
-val tier_mode_of_string : string -> tier_mode option
 
-(** Cumulative (process-wide) compiled-tier telemetry:
-    (functions promoted, deoptimizations).  Compiled code never
-    deoptimizes, so the second field is always 0; it is kept only for
-    the telemetry schema that reports it. *)
+(** Cumulative (process-wide) compiled-engine telemetry: (functions
+    compiled, deoptimizations).  Compiled code never deoptimizes, so
+    the second field is always 0; it is kept only for the telemetry
+    schema that reports it. *)
 val tier_stats : unit -> int * int

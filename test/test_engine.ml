@@ -544,6 +544,35 @@ let test_batch_dedup () =
   Alcotest.(check int) "three answers" 3 (List.length rs);
   Alcotest.(check int) "one execution" 1 (Engine.telemetry engine).Dpmr_engine.Telemetry.jobs_run
 
+(* Connection domains run batches on one engine at the same time; the
+   engine's wall account must count the overlap once.  Each task waits
+   for the other to start, so the two batches surely overlap. *)
+let test_overlapping_batches_wall () =
+  let engine = Engine.create ~jobs:1 ~use_cache:false ~progress:false () in
+  let arrived = Atomic.make 0 in
+  let task () =
+    Atomic.incr arrived;
+    let deadline = Unix.gettimeofday () +. 5. in
+    while Atomic.get arrived < 2 && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    Unix.sleepf 0.2
+  in
+  let t0 = Unix.gettimeofday () in
+  let d = Domain.spawn (fun () -> Engine.run_tasks engine [ task ]) in
+  ignore (Engine.run_tasks engine [ task ]);
+  ignore (Domain.join d);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  let tel = Engine.telemetry engine in
+  Alcotest.(check int) "both tasks overlapped" 2 (Atomic.get arrived);
+  Alcotest.(check int) "two batches" 2 tel.Dpmr_engine.Telemetry.batches;
+  Alcotest.(check bool)
+    (Printf.sprintf "wall %.3fs <= elapsed %.3fs" tel.Dpmr_engine.Telemetry.wall_seconds elapsed)
+    true
+    (tel.Dpmr_engine.Telemetry.wall_seconds <= elapsed);
+  Alcotest.(check bool) "busy counts both tasks" true
+    (tel.Dpmr_engine.Telemetry.busy_seconds > tel.Dpmr_engine.Telemetry.wall_seconds)
+
 let suites =
   [
     ( "engine",
@@ -585,5 +614,7 @@ let suites =
         Alcotest.test_case "cache: kill and resume serves flushed prefix" `Quick
           test_kill_and_resume;
         Alcotest.test_case "batch dedup of identical specs" `Quick test_batch_dedup;
+        Alcotest.test_case "overlapping batches count wall once" `Quick
+          test_overlapping_batches_wall;
       ] );
   ]

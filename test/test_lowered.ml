@@ -1,9 +1,10 @@
-(* Differential tests: the lowered threaded-code engine ({!Vm.run}) must
-   be observationally identical to the reference tree-walking engine
+(* Differential tests: the production engine ({!Vm.run}), which runs
+   each lowered function compiled from its first call, must be
+   observationally identical to the reference tree-walking engine
    ({!Vm.run_reference}) — same outcome, output, cost, memory footprint,
    and fault-detection point — across every workload, DPMR mode, and
    injected-fault variant.  The reference engine is the executable
-   specification; any divergence here is a lowering or interpreter bug,
+   specification; any divergence here is a lowering or compiler bug,
    and because every figure is computed from these fields, equality here
    is what makes the fast engine safe to use for the experiments. *)
 
@@ -27,9 +28,9 @@ let run_pair ?budget ~mode prog =
   in
   (Vm.run (mk ()), Vm.run_reference (mk ()))
 
-let check_equal name (lowered, reference) =
+let check_equal name (compiled, reference) =
   let chk sub fmt project =
-    Alcotest.check fmt (name ^ ": " ^ sub) (project reference) (project lowered)
+    Alcotest.check fmt (name ^ ": " ^ sub) (project reference) (project compiled)
   in
   chk "outcome" Alcotest.string (fun r -> Outcome.to_string r.Outcome.outcome);
   chk "output" Alcotest.string (fun r -> r.Outcome.output);
